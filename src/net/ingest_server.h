@@ -2,7 +2,7 @@
 // authentication service. N clients connect and stream feedback-report
 // frames; the server reassembles them across partial reads, decodes them
 // into capture::ObservedFeedback, and hands each to the submit callback
-// (AuthService::try_submit behind the CLI glue).
+// (AuthService::try_submit, wired by serving::Server).
 //
 // Backpressure maps onto per-connection socket behaviour instead of
 // unbounded buffering or a stalled loop:
@@ -90,14 +90,11 @@ class TcpIngestServer {
   // The bound port (valid after start(); resolves an ephemeral request).
   std::uint16_t port() const { return port_; }
 
-  // Blocks until at least one connection has been accepted and every
-  // connection has closed again — the `serve --once` termination rule —
-  // or until stop() is called from elsewhere.
-  void wait_until_idle();
-
-  // As wait_until_idle(), but returns after `interval` so the caller can
-  // interleave other work (signal checks, periodic snapshots) with the
-  // once-mode wait. Returns true when the idle condition held.
+  // Waits up to `interval` for at least one connection to have been
+  // accepted and every connection to have closed again — the `serve
+  // --once` termination rule — or for stop(). Returns true when that
+  // idle condition held; the caller interleaves other work (signal
+  // checks, periodic snapshots) between calls.
   bool wait_until_idle_for(std::chrono::milliseconds interval);
 
   // Stops the loop, closes all sockets, joins. Idempotent.

@@ -121,9 +121,8 @@ class AuthService {
 
   // The consolidated observability snapshot: queue/scheduler aggregates,
   // per-lane breakdown, session-table occupancy + eviction counters,
-  // configured context and process RSS — everything except the network
-  // front ends (the socket owners copy those in; serving does not depend
-  // on net).
+  // configured context and process RSS — everything except the shadow
+  // scorer and the network front ends, which Server::stats() adds.
   StatsSnapshot stats() const;
   std::size_t num_lanes() const { return queues_.size(); }
   StatsSnapshot::Lane lane_stats(std::size_t lane) const;

@@ -66,8 +66,8 @@ struct StatsSnapshot {
   Lifecycle lifecycle;
 
   // ------------------------------------------------ shadow scoring
-  // Copied in by the owner of the ShadowScorer (the CLI glue), like the
-  // network front ends below — present only when a candidate is loaded.
+  // Pulled by Server::stats(), like the network front ends below —
+  // present only when a candidate is loaded.
   struct Shadow {
     bool present = false;
     std::uint64_t sampled = 0;       // reports mirrored to the candidate
@@ -89,9 +89,9 @@ struct StatsSnapshot {
   std::size_t reports_accepted = 0;
 
   // ------------------------------------------------ network front ends
-  // Copied in by the owner of the sockets (the CLI glue) — serving does
-  // not depend on net, so these are plain mirrored counters with a
-  // present flag, not net:: types.
+  // Pulled by Server::stats(). serving depends on net only through
+  // server.cc, so these stay plain mirrored counters with a present
+  // flag, not net:: types.
   struct Ingest {
     bool present = false;
     std::uint64_t conns_accepted = 0;

@@ -14,7 +14,6 @@
 // a deterministic repro, not a flake.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <map>
@@ -29,70 +28,23 @@
 #include "common/failpoint.h"
 #include "common/hash.h"
 #include "common/report_queue.h"
-#include "core/model.h"
 #include "core/pipeline.h"
 #include "dataset/features.h"
-#include "dataset/traces.h"
 #include "net/client.h"
 #include "net/ingest_server.h"
 #include "net/protocol.h"
-#include "net/publisher.h"
+#include "serving/server.h"
 #include "serving/service.h"
+#include "serve_fixture.h"
 
 namespace deepcsi {
 namespace {
 
 using namespace std::chrono_literals;
 using common::failpoints::ScopedSpec;
-
-template <typename Pred>
-bool eventually(Pred pred, std::chrono::milliseconds budget = 10000ms) {
-  const auto deadline = std::chrono::steady_clock::now() + budget;
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(1ms);
-  }
-  return true;
-}
-
-core::Authenticator quick_authenticator(const dataset::InputSpec& spec) {
-  return core::Authenticator(
-      core::build_deepcsi_model(
-          dataset::num_input_channels(spec),
-          static_cast<int>(dataset::num_input_columns(spec)),
-          phy::kNumModules, core::quick_model_config()),
-      spec);
-}
-
-std::vector<capture::ObservedFeedback> multi_station_stream(int stations,
-                                                            int snapshots) {
-  dataset::Scale scale;
-  scale.d1_snapshots_per_trace = snapshots;
-  std::vector<std::vector<feedback::CompressedFeedbackReport>> per_station;
-  for (int s = 0; s < stations; ++s) {
-    const dataset::Trace trace =
-        dataset::generate_d1_trace(s % phy::kNumModules, 1, 0, scale, {});
-    std::vector<feedback::CompressedFeedbackReport> reports;
-    for (const dataset::Snapshot& snap : trace.snapshots)
-      reports.push_back(snap.report);
-    per_station.push_back(std::move(reports));
-  }
-  std::vector<capture::ObservedFeedback> stream;
-  double t = 0.0;
-  for (int i = 0; i < snapshots; ++i) {
-    for (int s = 0; s < stations; ++s) {
-      capture::ObservedFeedback obs;
-      obs.timestamp_s = t;
-      obs.beamformee = capture::MacAddress::for_station(s);
-      obs.beamformer = capture::MacAddress::for_module(s % phy::kNumModules);
-      obs.report = per_station[static_cast<std::size_t>(s)]
-                               [static_cast<std::size_t>(i)];
-      stream.push_back(std::move(obs));
-      t += 0.01;
-    }
-  }
-  return stream;
-}
+using fixture::eventually;
+using fixture::multi_station_stream;
+using fixture::quick_authenticator;
 
 void expect_identical(const std::vector<serving::StationVerdict>& a,
                       const std::vector<serving::StationVerdict>& b) {
@@ -175,31 +127,16 @@ TEST(ChaosTest, LosslessStormPreservesVerdictParityEndToEnd) {
       "net.recv=short(p=0.3,seed=13);"
       "queue.push=err(EAGAIN,p=0.15,seed=17)");
 
-  net::VerdictPublisher pub({});
-  pub.start();
-  serving::AuthService service(auth, cfg);
-  service.set_verdict_callback([&pub](const serving::StationVerdict& v) {
-    net::VerdictMsg m;
-    m.station = v.station;
-    m.module_id = static_cast<std::int32_t>(v.module_id);
-    m.votes = static_cast<std::uint32_t>(v.votes);
-    m.window_size = static_cast<std::uint32_t>(v.window_size);
-    m.total_reports = v.total_reports;
-    m.mean_confidence = v.mean_confidence;
-    m.last_timestamp_s = v.last_timestamp_s;
-    pub.publish(m);
-  });
-  service.start();
-  net::TcpIngestServer ingest(
-      {}, [&service](capture::ObservedFeedback& obs) {
-        return service.try_submit(obs);
-      });
-  ingest.start();
-  auto subscriber = net::VerdictSubscriber::connect("127.0.0.1", pub.port());
+  serving::Server server(fixture::loopback_options(cfg, /*publish=*/true),
+                         quick_authenticator(spec));
+  ASSERT_TRUE(server.start().ok());
+  auto subscriber =
+      net::VerdictSubscriber::connect("127.0.0.1", server.publish_port());
 
   std::vector<net::NetClient> clients;
   for (int i = 0; i < 3; ++i)
-    clients.push_back(net::NetClient::connect("127.0.0.1", ingest.port()));
+    clients.push_back(
+        net::NetClient::connect("127.0.0.1", server.ingest_port()));
   for (const auto& obs : stream) {
     const std::size_t c =
         common::mix64(obs.beamformee.to_u64()) % clients.size();
@@ -207,31 +144,18 @@ TEST(ChaosTest, LosslessStormPreservesVerdictParityEndToEnd) {
   }
   for (auto& c : clients) c.close();
 
-  ingest.wait_until_idle();
-  ingest.stop();
-  service.drain();
-  const auto online = service.sessions().snapshot();
-  for (const auto& v : online) {
-    net::VerdictMsg m;
-    m.station = v.station;
-    m.module_id = static_cast<std::int32_t>(v.module_id);
-    m.votes = static_cast<std::uint32_t>(v.votes);
-    m.window_size = static_cast<std::uint32_t>(v.window_size);
-    m.total_reports = v.total_reports;
-    m.mean_confidence = v.mean_confidence;
-    m.last_timestamp_s = v.last_timestamp_s;
-    pub.publish(m);
+  while (!server.wait(200ms)) {
   }
-  pub.publish_stats({});
-  pub.stop(30000ms);
+  EXPECT_EQ(server.stop(), "");
+  const auto online = server.service().sessions().snapshot();
 
   // The storm actually happened...
   EXPECT_GT(common::failpoints::fire_count("net.send"), 0u);
   EXPECT_GT(common::failpoints::fire_count("net.recv"), 0u);
   // ...and changed nothing: server-side table matches the calm replay.
   expect_identical(online, offline);
-  EXPECT_EQ(ingest.stats().reports_dropped, 0u);
-  EXPECT_EQ(ingest.stats().protocol_errors, 0u);
+  EXPECT_EQ(server.stats().ingest.reports_dropped, 0u);
+  EXPECT_EQ(server.stats().ingest.protocol_errors, 0u);
 
   // What the subscriber received through its own shortened reads matches
   // too, bit for bit on the doubles.
@@ -308,10 +232,13 @@ TEST(ChaosTest, InjectedResetsWithReconnectDeliverEveryReportExactlyOnce) {
   }
   EXPECT_GT(reconnects, 0u);  // the storm really severed connections
 
-  ASSERT_TRUE(eventually([&] {
-    std::lock_guard<std::mutex> lock(sink->mu);
-    return sink->timestamps.size() >= kReports && server.stats().conns_open == 0;
-  }));
+  ASSERT_TRUE(eventually(
+      [&] {
+        std::lock_guard<std::mutex> lock(sink->mu);
+        return sink->timestamps.size() >= kReports &&
+               server.stats().conns_open == 0;
+      },
+      10000ms));
   // A brief settle so a hypothetical duplicate would have arrived too.
   std::this_thread::sleep_for(50ms);
   std::lock_guard<std::mutex> lock(sink->mu);
@@ -390,17 +317,7 @@ TEST(ChaosTest, SwapStormDuringLiveLoopbackKeepsVerdictParity) {
   // zero-downtime contract under fire.
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  core::Authenticator auth = quick_authenticator(spec);
   const auto stream = multi_station_stream(4, 6);
-
-  // Candidate artifact = the incumbent's weights, saved as a full trio.
-  const std::string model_path =
-      std::string(::testing::TempDir()) + "/chaos_swap.model";
-  auth.save(model_path);
-  core::save_model_meta(model_path,
-                        {{"filters", core::quick_model_config().filters},
-                         {"stride", spec.subcarrier_stride},
-                         {"classes", phy::kNumModules}});
 
   serving::ServiceConfig cfg;
   cfg.queue_capacity = 64;
@@ -408,6 +325,13 @@ TEST(ChaosTest, SwapStormDuringLiveLoopbackKeepsVerdictParity) {
   cfg.scheduler.max_batch = 8;
   cfg.scheduler.max_latency = 2ms;
   cfg.sessions.window = 7;
+
+  // Candidate artifact = the incumbent's weights, saved as a full trio
+  // at --model, the path a swap request (SIGHUP) reloads.
+  serving::ServeOptions o = fixture::loopback_options(cfg, /*publish=*/false);
+  o.model = fixture::save_artifact(quick_authenticator(spec), "chaos_swap.model");
+  serving::Server server(o, quick_authenticator(spec));
+  core::Authenticator& auth = server.authenticator();
 
   // Calm reference: same stream, no network, no swaps.
   std::vector<serving::StationVerdict> offline;
@@ -423,40 +347,38 @@ TEST(ChaosTest, SwapStormDuringLiveLoopbackKeepsVerdictParity) {
       "model.load=err(EIO,p=0.35,seed=7);"
       "model.swap=reject(p=0.35,seed=9)");
 
-  serving::AuthService service(auth, cfg);
-  service.start();
-  net::TcpIngestServer ingest(
-      {}, [&service](capture::ObservedFeedback& obs) {
-        return service.try_submit(obs);
-      });
-  ingest.start();
+  ASSERT_TRUE(server.start().ok());
 
-  // The swapper hammers swap_model while the client streams reports. A
-  // FIXED attempt count keeps the seeded fire pattern deterministic:
-  // 64 draws at p=0.35 on each site guarantee both rollbacks and
-  // published swaps, whatever the thread interleaving.
+  // The swapper hammers the server's swap request (SIGHUP's path) while
+  // the client streams reports. A FIXED attempt count keeps the seeded
+  // fire pattern deterministic: 64 draws at p=0.35 on each site
+  // guarantee both rollbacks and published swaps, whatever the thread
+  // interleaving.
   std::thread swapper([&] {
     for (int i = 0; i < 64; ++i) {
-      const auto r = auth.swap_model(model_path);
-      // Only the two injected failure modes may appear: the artifact
-      // itself is always valid.
-      EXPECT_TRUE(r.ok() ||
-                  r.status == core::Authenticator::SwapStatus::kLoadError ||
-                  r.status == core::Authenticator::SwapStatus::kAborted)
-          << r.error;
+      server.request_swap();
+      for (const serving::Server::SwapAttempt& a : server.tick().swaps) {
+        const auto& r = a.result;
+        // Only the two injected failure modes may appear: the artifact
+        // itself is always valid.
+        EXPECT_TRUE(r.ok() ||
+                    r.status == core::Authenticator::SwapStatus::kLoadError ||
+                    r.status == core::Authenticator::SwapStatus::kAborted)
+            << r.error;
+      }
     }
   });
 
-  auto client = net::NetClient::connect("127.0.0.1", ingest.port());
+  auto client = net::NetClient::connect("127.0.0.1", server.ingest_port());
   for (const auto& obs : stream) {
     ASSERT_TRUE(client.send_report(obs));
     std::this_thread::sleep_for(1ms);  // stretch traffic across the storm
   }
   client.close();
   swapper.join();
-  ingest.wait_until_idle();
-  ingest.stop();
-  service.drain();
+  while (!server.wait(200ms)) {
+  }
+  server.stop();
 
   // The storm really exercised both failure sites AND let some swaps
   // through (seeds chosen so neither side is empty)...
@@ -464,10 +386,9 @@ TEST(ChaosTest, SwapStormDuringLiveLoopbackKeepsVerdictParity) {
   EXPECT_GT(auth.swaps_completed(), 0u);
   EXPECT_EQ(auth.epoch(), 1u + auth.swaps_completed());
   // ...and none of it moved a single verdict.
-  expect_identical(service.sessions().snapshot(), offline);
-  EXPECT_EQ(ingest.stats().reports_dropped, 0u);
-  std::remove(model_path.c_str());
-  std::remove((model_path + ".meta").c_str());
+  expect_identical(server.service().sessions().snapshot(), offline);
+  EXPECT_EQ(server.stats().ingest.reports_dropped, 0u);
+  fixture::remove_artifact(o.model);
 }
 
 }  // namespace

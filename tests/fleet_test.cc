@@ -9,12 +9,11 @@
 #include <map>
 #include <vector>
 
-#include "core/model.h"
 #include "core/pipeline.h"
-#include "dataset/features.h"
 #include "feedback/bitpack.h"
 #include "serving/fleet.h"
 #include "serving/service.h"
+#include "serve_fixture.h"
 
 namespace deepcsi {
 namespace {
@@ -34,16 +33,6 @@ FleetConfig small_fleet(std::uint64_t stations) {
   fc.mobile_fraction = 0.2;
   fc.seed = 23;
   return fc;
-}
-
-core::Authenticator make_authenticator() {
-  const dataset::InputSpec spec;
-  return core::Authenticator(
-      core::build_deepcsi_model(
-          dataset::num_input_channels(spec),
-          static_cast<int>(dataset::num_input_columns(spec)),
-          phy::kNumModules, core::quick_model_config()),
-      spec);
 }
 
 TEST(FleetTest, ReportsAreAPureFunctionOfConfig) {
@@ -135,7 +124,7 @@ TEST(FleetTest, MobileStationsChurnTheirTemplateStaticOnesDoNot) {
 // evict under LRU pressure — the bounded-memory half of the acceptance
 // bar, end to end through ingest -> scheduler -> sessions.
 TEST(FleetTest, BoundedServiceHoldsTheCeilingUnderFleetPressure) {
-  const core::Authenticator auth = make_authenticator();
+  const core::Authenticator auth = fixture::quick_authenticator({});
   const FleetConfig fc = small_fleet(200);
   const FleetGenerator gen(fc);
 
@@ -166,7 +155,7 @@ TEST(FleetTest, BoundedServiceHoldsTheCeilingUnderFleetPressure) {
 // verdicts bit-identical to an unbounded service with different shard,
 // lane, consumer, and producer counts.
 TEST(FleetTest, ResidentVerdictsAreBitIdenticalToAnUnboundedService) {
-  const core::Authenticator auth = make_authenticator();
+  const core::Authenticator auth = fixture::quick_authenticator({});
   FleetConfig fc = small_fleet(200);
   fc.reports_per_station = 1;  // no rebirth: residents == never-evicted
   const FleetGenerator gen(fc);

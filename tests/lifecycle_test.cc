@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <map>
 #include <string>
 #include <thread>
@@ -23,6 +22,7 @@
 #include "serving/service.h"
 #include "serving/session_table.h"
 #include "serving/shadow.h"
+#include "serve_fixture.h"
 
 namespace deepcsi {
 namespace {
@@ -30,15 +30,9 @@ namespace {
 using common::failpoints::ScopedSpec;
 using core::Authenticator;
 using core::ModelLoadStatus;
-
-core::Authenticator make_authenticator(const dataset::InputSpec& spec) {
-  return core::Authenticator(
-      core::build_deepcsi_model(
-          dataset::num_input_channels(spec),
-          static_cast<int>(dataset::num_input_columns(spec)),
-          phy::kNumModules, core::quick_model_config()),
-      spec);
-}
+using fixture::quick_authenticator;
+using fixture::remove_artifact;
+using fixture::save_artifact;
 
 std::vector<feedback::CompressedFeedbackReport> make_reports() {
   const dataset::Scale scale{3, 3, 4};
@@ -52,29 +46,12 @@ std::vector<feedback::CompressedFeedbackReport> make_reports() {
   return reports;
 }
 
-// Persist the full deployable trio (weights + authoritative .meta) the
-// way `deepcsi train` does, so swap_model can reload it.
-std::string save_artifact(const core::Authenticator& auth, const char* name) {
-  const std::string path = std::string(::testing::TempDir()) + "/" + name;
-  auth.save(path);
-  core::save_model_meta(
-      path, {{"filters", core::quick_model_config().filters},
-             {"stride", auth.input_spec().subcarrier_stride},
-             {"classes", phy::kNumModules}});
-  return path;
-}
-
-void remove_artifact(const std::string& path) {
-  std::remove(path.c_str());
-  std::remove((path + ".meta").c_str());
-}
-
 // ------------------------------------------------------- swap semantics
 
 TEST(LifecycleTest, SwapToIdenticalWeightsKeepsPredictionsBitExact) {
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  core::Authenticator auth = make_authenticator(spec);
+  core::Authenticator auth = quick_authenticator(spec);
   const auto reports = make_reports();
   const auto before = auth.classify_batch(reports);
   EXPECT_EQ(auth.epoch(), 1u);
@@ -100,7 +77,7 @@ TEST(LifecycleTest, SwapToIdenticalWeightsKeepsPredictionsBitExact) {
 TEST(LifecycleTest, EveryFailureModeRollsBackAndKeepsServingTheIncumbent) {
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  core::Authenticator auth = make_authenticator(spec);
+  core::Authenticator auth = quick_authenticator(spec);
   const auto reports = make_reports();
   const auto before = auth.classify_batch(reports);
   const std::string good = save_artifact(auth, "swap-rollback.model");
@@ -165,7 +142,7 @@ TEST(LifecycleTest, EveryFailureModeRollsBackAndKeepsServingTheIncumbent) {
 TEST(LifecycleTest, HundredSwapCyclesUnderConcurrentClassifyLoad) {
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  core::Authenticator auth = make_authenticator(spec);
+  core::Authenticator auth = quick_authenticator(spec);
   const auto reports = make_reports();
   const auto baseline = auth.classify_batch(reports);
   const std::string a = save_artifact(auth, "swap-cycle-a.model");
@@ -266,7 +243,7 @@ TEST(LifecycleTest, ShadowScorerSamplesOneInN) {
   const auto reports = make_reports();
   serving::ShadowConfig cfg;
   cfg.sample_every = 4;
-  serving::ShadowScorer scorer(make_authenticator(spec), cfg);
+  serving::ShadowScorer scorer(quick_authenticator(spec), cfg);
   for (int i = 0; i < 40; ++i)
     scorer.observe(pending(i % 3, reports[i % reports.size()], 0.01 * i),
                    {0, 0.5});
@@ -284,7 +261,7 @@ TEST(LifecycleTest, ShadowScorerCountsDivergenceAndPromotes) {
   cfg.sample_every = 1;
   cfg.max_divergence = 0.5;
   cfg.min_samples = 8;
-  serving::ShadowScorer scorer(make_authenticator(spec), cfg);
+  serving::ShadowScorer scorer(quick_authenticator(spec), cfg);
 
   // The candidate is deterministic, so feeding ITS OWN prediction as the
   // "primary" verdict controls divergence exactly: agree on stations
@@ -330,7 +307,7 @@ TEST(LifecycleTest, ShadowPromotionDisabledByDefault) {
   serving::ShadowConfig cfg;  // max_divergence < 0: measurement only
   cfg.sample_every = 1;
   cfg.min_samples = 1;
-  serving::ShadowScorer scorer(make_authenticator(spec), cfg);
+  serving::ShadowScorer scorer(quick_authenticator(spec), cfg);
   for (int i = 0; i < 8; ++i) {
     const auto& r = reports[static_cast<std::size_t>(i) % reports.size()];
     scorer.observe(pending(0, r, 0.01 * i), scorer.candidate().classify(r));
@@ -393,7 +370,7 @@ TEST(LifecycleTest, DriftEwmaFlagsRecoversAndResets) {
 TEST(LifecycleTest, ServiceStatsCarryLifecycleCountersAndShadowTapFires) {
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
-  core::Authenticator auth = make_authenticator(spec);
+  core::Authenticator auth = quick_authenticator(spec);
   const auto reports = make_reports();
 
   serving::ServiceConfig cfg;

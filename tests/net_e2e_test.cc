@@ -1,6 +1,7 @@
 // In-process loopback end-to-end: NetClient -> TcpIngestServer ->
 // AuthService -> SessionTable -> VerdictPublisher -> VerdictSubscriber,
-// plus the ingest server's backpressure mapping (kWouldBlock pauses the
+// assembled by serving::Server exactly as `serve --listen` runs it, plus
+// the ingest server's backpressure mapping (kWouldBlock pauses the
 // socket, kRejected counts a drop) and connection-limit/malformed-peer
 // handling — all without forking processes, so the sanitizer and TSan
 // legs see every thread.
@@ -17,20 +18,23 @@
 
 #include "capture/monitor.h"
 #include "common/hash.h"
-#include "core/model.h"
 #include "core/pipeline.h"
 #include "dataset/features.h"
 #include "dataset/traces.h"
 #include "net/client.h"
 #include "net/ingest_server.h"
 #include "net/protocol.h"
-#include "net/publisher.h"
+#include "serving/server.h"
 #include "serving/service.h"
+#include "serve_fixture.h"
 
 namespace deepcsi {
 namespace {
 
 using namespace std::chrono_literals;
+using fixture::eventually;
+using fixture::multi_station_stream;
+using fixture::quick_authenticator;
 
 capture::ObservedFeedback sample_observed(int module, double timestamp_s) {
   dataset::Scale scale;
@@ -43,18 +47,6 @@ capture::ObservedFeedback sample_observed(int module, double timestamp_s) {
   obs.beamformer = capture::MacAddress::for_module(module);
   obs.report = trace.snapshots.front().report;
   return obs;
-}
-
-// Spin-wait with timeout for a server-side condition (loopback delivery
-// is asynchronous; never assert immediately on a counter).
-template <typename Pred>
-bool eventually(Pred pred, std::chrono::milliseconds budget = 5000ms) {
-  const auto deadline = std::chrono::steady_clock::now() + budget;
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(1ms);
-  }
-  return true;
 }
 
 // ------------------------------------------------- ingest server semantics
@@ -212,48 +204,6 @@ TEST(NetIngestTest, ConnectionsBeyondMaxConnsAreRefused) {
 
 // ------------------------------------------------------- full loopback e2e
 
-core::Authenticator quick_authenticator(const dataset::InputSpec& spec) {
-  return core::Authenticator(
-      core::build_deepcsi_model(
-          dataset::num_input_channels(spec),
-          static_cast<int>(dataset::num_input_columns(spec)),
-          phy::kNumModules, core::quick_model_config()),
-      spec);
-}
-
-// `stations` beamformees, station s streaming module-(s % kNumModules)
-// reports, interleaved frame by frame.
-std::vector<capture::ObservedFeedback> multi_station_stream(int stations,
-                                                            int snapshots) {
-  dataset::Scale scale;
-  scale.d1_snapshots_per_trace = snapshots;
-  std::vector<std::vector<feedback::CompressedFeedbackReport>> per_station;
-  for (int s = 0; s < stations; ++s) {
-    const dataset::Trace trace =
-        dataset::generate_d1_trace(s % phy::kNumModules, 1, 0, scale, {});
-    std::vector<feedback::CompressedFeedbackReport> reports;
-    for (const dataset::Snapshot& snap : trace.snapshots)
-      reports.push_back(snap.report);
-    per_station.push_back(std::move(reports));
-  }
-  std::vector<capture::ObservedFeedback> stream;
-  double t = 0.0;
-  for (int i = 0; i < snapshots; ++i) {
-    for (int s = 0; s < stations; ++s) {
-      capture::ObservedFeedback obs;
-      obs.timestamp_s = t;
-      obs.beamformee = capture::MacAddress::for_station(s);
-      obs.beamformer =
-          capture::MacAddress::for_module(s % phy::kNumModules);
-      obs.report = per_station[static_cast<std::size_t>(s)]
-                               [static_cast<std::size_t>(i)];
-      stream.push_back(std::move(obs));
-      t += 0.01;
-    }
-  }
-  return stream;
-}
-
 TEST(NetE2ETest, LoopbackVerdictsMatchTheOfflinePipelineExactly) {
   dataset::InputSpec spec;
   spec.subcarrier_stride = 4;
@@ -277,35 +227,19 @@ TEST(NetE2ETest, LoopbackVerdictsMatchTheOfflinePipelineExactly) {
     offline = service.sessions().snapshot();
   }
 
-  // Network path: publisher first (it must outlive the service), then the
-  // service, then ingest — mirroring the CLI's `serve --listen` wiring.
-  net::VerdictPublisher pub({});
-  pub.start();
-  serving::AuthService service(auth, cfg);
-  service.set_verdict_callback([&pub](const serving::StationVerdict& v) {
-    net::VerdictMsg m;
-    m.station = v.station;
-    m.module_id = static_cast<std::int32_t>(v.module_id);
-    m.votes = static_cast<std::uint32_t>(v.votes);
-    m.window_size = static_cast<std::uint32_t>(v.window_size);
-    m.total_reports = v.total_reports;
-    m.mean_confidence = v.mean_confidence;
-    m.last_timestamp_s = v.last_timestamp_s;
-    pub.publish(m);
-  });
-  service.start();
-  net::TcpIngestServer ingest(
-      {}, [&service](capture::ObservedFeedback& obs) {
-        return service.try_submit(obs);
-      });
-  ingest.start();
+  // Network path: the same Server `serve --listen --once 1` runs.
+  serving::Server server(fixture::loopback_options(cfg, /*publish=*/true),
+                         quick_authenticator(spec));
+  ASSERT_TRUE(server.start().ok());
 
-  auto subscriber = net::VerdictSubscriber::connect("127.0.0.1", pub.port());
+  auto subscriber =
+      net::VerdictSubscriber::connect("127.0.0.1", server.publish_port());
 
   // Three connections, stations sharded by MAC — per-station order holds.
   std::vector<net::NetClient> clients;
   for (int i = 0; i < 3; ++i)
-    clients.push_back(net::NetClient::connect("127.0.0.1", ingest.port()));
+    clients.push_back(
+        net::NetClient::connect("127.0.0.1", server.ingest_port()));
   for (const auto& obs : stream) {
     const std::size_t c =
         common::mix64(obs.beamformee.to_u64()) % clients.size();
@@ -313,24 +247,11 @@ TEST(NetE2ETest, LoopbackVerdictsMatchTheOfflinePipelineExactly) {
   }
   for (auto& c : clients) c.close();
 
-  ingest.wait_until_idle();
-  ingest.stop();
-  service.drain();
-  const auto online = service.sessions().snapshot();
-  // Final snapshot + stats over the wire, then flush-and-close.
-  for (const auto& v : online) {
-    net::VerdictMsg m;
-    m.station = v.station;
-    m.module_id = static_cast<std::int32_t>(v.module_id);
-    m.votes = static_cast<std::uint32_t>(v.votes);
-    m.window_size = static_cast<std::uint32_t>(v.window_size);
-    m.total_reports = v.total_reports;
-    m.mean_confidence = v.mean_confidence;
-    m.last_timestamp_s = v.last_timestamp_s;
-    pub.publish(m);
+  while (!server.wait(200ms)) {
   }
-  pub.publish_stats({});
-  pub.stop(30000ms);
+  // Drain, then the final snapshot + stats over the wire, flush-and-close.
+  EXPECT_EQ(server.stop(), "");
+  const auto online = server.service().sessions().snapshot();
 
   // The server-side table must equal the offline run field for field —
   // the wire moved bytes, it didn't change them.

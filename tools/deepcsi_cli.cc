@@ -18,6 +18,10 @@
 //       clients, and the optional publisher streams per-station verdict
 //       transitions to subscribers. `--once 1` exits after the first
 //       wave of clients disconnects (CI's loopback e2e uses this).
+//       Both serve front ends run through serving::Server, the one place
+//       the serve process (publisher, shadow scorer, session restore and
+//       snapshots, shed gate, model watch, stats) is assembled; this file
+//       only loads the models, maps signals onto it and prints.
 //   deepcsi drive --pcap FILE.pcap --connect PORT [--subscribe PORT]
 //       Network replay driver: streams a capture's feedback reports into
 //       a running `serve --listen` over N connections (stations sharded
@@ -41,19 +45,15 @@
 // The tool works on the same artifacts the examples produce (e.g.
 // examples/dataset_export emits .dcst archives and per-trace pcaps).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <map>
 #include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <sys/stat.h>
-#include <thread>
 #include <vector>
 
 #include "capture/monitor.h"
@@ -63,15 +63,12 @@
 #include "dataset/io.h"
 #include "dataset/splits.h"
 #include "net/client.h"
-#include "net/ingest_server.h"
-#include "net/publisher.h"
 #include "nn/serialize.h"
 #include "nn/simd.h"
 #include "serving/fleet.h"
 #include "serving/options.h"
 #include "serving/replay.h"
-#include "serving/service.h"
-#include "serving/shadow.h"
+#include "serving/server.h"
 #include "serving/stats.h"
 
 namespace {
@@ -214,10 +211,27 @@ core::ExperimentConfig config_from(const Args& args) {
   return cfg;
 }
 
-// Turn a loaded artifact into a serving-ready Authenticator (calibration
-// applied, int8-backend warning emitted when the sidecar is absent).
-core::Authenticator make_authenticator(core::LoadedModel&& lm,
-                                       const std::string& path) {
+// Rebuild a saved Authenticator through the one validated artifact path
+// (weights + .meta + .calib as a unit). An artifact that disagrees with
+// the serving geometry (an explicit --stride fighting the sidecar, or a
+// shadow candidate built for another spec) is REFUSED at startup — exit 2
+// with both specs in the diagnostic — instead of classifying garbage
+// features. `what` prefixes the diagnostics ("shadow ").
+core::Authenticator load_artifact(const std::string& path,
+                                  const dataset::InputSpec& spec,
+                                  const core::ModelConfig& cfg,
+                                  const std::string& what) {
+  core::LoadedModel lm;
+  std::string err;
+  switch (core::load_model_artifact(path, spec, cfg, &lm, &err)) {
+    case core::ModelLoadStatus::kOk:
+      break;
+    case core::ModelLoadStatus::kSpecMismatch:
+      std::fprintf(stderr, "deepcsi: %s%s\n", what.c_str(), err.c_str());
+      std::exit(2);
+    case core::ModelLoadStatus::kIoError:
+      throw std::runtime_error(what + err);
+  }
   core::Authenticator auth(std::move(*lm.model), lm.spec);
   // The int8 calibration sidecar rides next to the weights like .meta.
   // Missing is fine (pre-int8 model) — but if the user explicitly asked
@@ -234,52 +248,24 @@ core::Authenticator make_authenticator(core::LoadedModel&& lm,
   return auth;
 }
 
-// Rebuild the Authenticator saved by `train` through the one validated
-// artifact path (weights + .meta + .calib as a unit). The ".meta" sidecar
-// restores the training-time architecture; a spec that disagrees with the
-// serving geometry (e.g. an explicit --stride fighting the sidecar) is
-// REFUSED at startup — exit 2 with both specs in the diagnostic — instead
-// of loading a model that would classify garbage features.
+// The --model Authenticator; its ".meta" sidecar restores the
+// training-time architecture unless a flag overrides it.
 core::Authenticator load_authenticator(const Args& args) {
   Args effective = args;
   for (const auto& [key, value] : core::load_model_meta(args.get("model")))
     if (!effective.has(key)) effective.named[key] = std::to_string(value);
-  const dataset::InputSpec spec = spec_from(effective);
-  const core::ExperimentConfig cfg = config_from(effective);
-
-  core::LoadedModel lm;
-  std::string err;
-  switch (core::load_model_artifact(args.get("model"), spec, cfg.model, &lm,
-                                    &err)) {
-    case core::ModelLoadStatus::kOk:
-      break;
-    case core::ModelLoadStatus::kSpecMismatch:
-      std::fprintf(stderr, "deepcsi: %s\n", err.c_str());
-      std::exit(2);
-    case core::ModelLoadStatus::kIoError:
-      throw std::runtime_error(err);
-  }
-  return make_authenticator(std::move(lm), args.get("model"));
+  return load_artifact(args.get("model"), spec_from(effective),
+                       config_from(effective).model, "");
 }
 
-// Load a shadow CANDIDATE against the primary's geometry: same refusal
-// rules as the primary (a candidate that cannot ever be promoted cleanly
-// should fail at startup, not after an hour of shadow scoring).
-core::Authenticator load_candidate(const std::string& path,
-                                   const core::Authenticator& primary) {
-  core::LoadedModel lm;
-  std::string err;
-  switch (core::load_model_artifact(path, primary.input_spec(),
-                                    core::quick_model_config(), &lm, &err)) {
-    case core::ModelLoadStatus::kOk:
-      break;
-    case core::ModelLoadStatus::kSpecMismatch:
-      std::fprintf(stderr, "deepcsi: shadow %s\n", err.c_str());
-      std::exit(2);
-    case core::ModelLoadStatus::kIoError:
-      throw std::runtime_error("shadow " + err);
-  }
-  return make_authenticator(std::move(lm), path);
+// The --shadow-model candidate (nullopt without one), held to the
+// primary's geometry: a candidate that can never be promoted cleanly
+// fails at startup, not after an hour of shadow scoring.
+std::optional<core::Authenticator> load_candidate(
+    const serving::ServeOptions& o, const core::Authenticator& primary) {
+  if (o.shadow_model.empty()) return std::nullopt;
+  return load_artifact(o.shadow_model, primary.input_spec(),
+                       core::quick_model_config(), "shadow ");
 }
 
 int cmd_generate(const Args& args) {
@@ -409,18 +395,6 @@ int cmd_classify(const Args& args) {
   return 0;
 }
 
-net::VerdictMsg to_verdict_msg(const serving::StationVerdict& v) {
-  net::VerdictMsg m;
-  m.station = v.station;
-  m.module_id = static_cast<std::int32_t>(v.module_id);
-  m.votes = static_cast<std::uint32_t>(v.votes);
-  m.window_size = static_cast<std::uint32_t>(v.window_size);
-  m.total_reports = static_cast<std::uint64_t>(v.total_reports);
-  m.mean_confidence = v.mean_confidence;
-  m.last_timestamp_s = v.last_timestamp_s;
-  return m;
-}
-
 // SIGINT (operator ^C) and SIGTERM (systemd / container stop) share one
 // drain path: stop accepting, classify what is queued, snapshot, exit —
 // an orchestrated shutdown is never state-losing.
@@ -428,316 +402,108 @@ volatile std::sig_atomic_t g_interrupted = 0;
 void on_shutdown_signal(int) { g_interrupted = 1; }
 
 // SIGHUP = "reload your model" (the classic config-reload signal): the
-// listen loop notices the flag and hot-swaps from the --model path. A
-// failed swap logs and keeps serving the incumbent epoch.
+// listen loop turns the flag into Server::request_swap(). A failed swap
+// logs and keeps serving the incumbent epoch.
 volatile std::sig_atomic_t g_hup = 0;
 void on_hup_signal(int) { g_hup = 1; }
 
-// mtime+size stamp for --model-watch. Nanosecond mtime so back-to-back
-// rewrites in one second still change the stamp.
-struct FileStamp {
-  std::int64_t mtime_ns = -1;  // -1 = file absent
-  std::int64_t size = -1;
-  bool operator==(const FileStamp&) const = default;
-};
-FileStamp stamp_of(const std::string& path) {
-  struct ::stat st{};
-  if (::stat(path.c_str(), &st) != 0) return {};
-  return {static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
-              static_cast<std::int64_t>(st.st_mtim.tv_nsec),
-          static_cast<std::int64_t>(st.st_size)};
-}
-
-void print_verdicts(const serving::AuthService& service,
-                    const serving::ServiceConfig& cfg) {
-  std::printf("\nper-station verdicts (rolling window of %zu):\n",
-              cfg.sessions.window);
-  for (const serving::StationVerdict& v : service.sessions().snapshot())
-    std::printf("  %s -> module %d (%zu/%zu window votes, mean confidence "
-                "%.2f, %zu reports, last t=%.3fs)\n",
-                v.station.to_string().c_str(), v.module_id, v.votes,
-                v.window_size, v.mean_confidence, v.total_reports,
-                v.last_timestamp_s);
-}
-
-// Optional machine-readable end-of-run stats: the StatsSnapshot JSON,
-// written atomically so a watcher never reads a torn file.
-void write_stats_json(const std::string& path,
-                      const serving::StatsSnapshot& stats) {
-  if (path.empty()) return;
-  try {
-    common::write_file_atomic(path, stats.render_json());
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "serve: cannot write --stats-json: %s\n", e.what());
-  }
-}
-
-// `serve --listen`: the same service, fed over TCP. Construction order
-// matters — the publisher must outlive the service because lane threads
-// call the verdict callback until drain() completes. All knob validation
-// already happened in ServeOptions::parse.
-int cmd_serve_listen(const Args& args, const serving::ServeOptions& o) {
-  const serving::ServiceConfig& cfg = o.service;
-  const std::string& state_file = o.state_file;
-  // Queue-depth watermarks for load shedding: above shed_high queued
-  // reports, NEW connections are refused at accept (the cheapest work to
-  // sacrifice — established streams keep flowing and in-flight reports
-  // keep classifying); accepting resumes once depth falls back under
-  // shed_low. The low watermark gives hysteresis so a depth hovering at
-  // the threshold does not flap the gate on every accept.
-  const int shed_high = o.shed_high;
-  const int shed_low = o.shed_low;
-
-  core::Authenticator auth = load_authenticator(args);
-
-  std::optional<net::VerdictPublisher> pub;
-  if (o.publish) {
-    net::PublisherConfig pcfg;
-    pcfg.port = o.publish_port;
-    pcfg.max_conns = static_cast<std::size_t>(o.max_conns);
-    pub.emplace(pcfg);
-    pub->start();
-  }
-
-  // Shadow scorer before the service: lane threads call observe() until
-  // drain() completes, so the scorer must outlive the service.
-  std::optional<serving::ShadowScorer> shadow;
-  if (!o.shadow_model.empty()) {
-    serving::ShadowConfig scfg;
-    scfg.sample_every = static_cast<std::size_t>(o.shadow_sample);
-    scfg.max_divergence = o.promote_below;
-    scfg.min_samples = static_cast<std::uint64_t>(o.promote_min);
-    shadow.emplace(load_candidate(o.shadow_model, auth), scfg);
-    std::printf("serve: shadow-scoring %s on 1-in-%d of the stream%s\n",
-                o.shadow_model.c_str(), o.shadow_sample,
-                o.promote_below >= 0.0 ? " (auto-promote armed)" : "");
-  }
-
-  serving::AuthService service(auth, cfg);
-  if (pub)
-    service.set_verdict_callback([&pub](const serving::StationVerdict& v) {
-      pub->publish(to_verdict_msg(v));
-    });
-  if (shadow)
-    service.set_shadow_callback(
-        [&shadow](const serving::PendingReport& r,
-                  const core::Authenticator::Prediction& p) {
-          shadow->observe(r, p);
-        });
-  if (!state_file.empty()) {
-    // Restore BEFORE any report flows: rolling majorities pick up where
-    // the previous process (clean exit or kill -9) last snapshotted.
-    std::string err;
-    switch (service.restore_sessions(state_file, &err)) {
-      case serving::SessionTable::RestoreStatus::kRestored:
-        std::printf("serve: restored %zu station session(s) from %s\n",
-                    service.sessions().num_stations(), state_file.c_str());
-        break;
-      case serving::SessionTable::RestoreStatus::kNoFile:
-        std::printf("serve: no session snapshot at %s, starting cold\n",
-                    state_file.c_str());
-        break;
-      case serving::SessionTable::RestoreStatus::kCorrupt:
-        // A damaged snapshot is refused loudly, never half-loaded: the
-        // operator decides whether to delete it and start cold.
-        std::fprintf(stderr, "serve: %s\n", err.c_str());
-        return 1;
-    }
-  }
-  service.start();
-
-  std::atomic<bool> shedding{false};
-  net::IngestConfig icfg;
-  icfg.port = o.listen_port;
-  icfg.max_conns = static_cast<std::size_t>(o.max_conns);
-  icfg.accept_gate = [&service, &shedding, shed_high, shed_low] {
-    const std::size_t depth = service.queue_depth();
-    bool shed = shedding.load(std::memory_order_relaxed);
-    if (!shed && depth >= static_cast<std::size_t>(shed_high))
-      shed = true;
-    else if (shed && depth <= static_cast<std::size_t>(shed_low))
-      shed = false;
-    shedding.store(shed, std::memory_order_relaxed);
-    return !shed;
-  };
-  net::TcpIngestServer ingest(icfg,
-                              [&service](capture::ObservedFeedback& obs) {
-                                return service.try_submit(obs);
-                              });
-  ingest.start();
-
-  if (!o.port_file.empty()) {
-    // Readiness signal for drivers racing a freshly forked server: the
-    // file appears only once both sockets are bound and accepting, and
-    // atomically — a racing driver reads two ports or no file, never a
-    // torn line.
+// The end-of-run tail of serve and fleet: the stats block, the optional
+// --stats-json file (written atomically so a watcher never reads a torn
+// file) and the exit code.
+int finish_run(const serving::StatsSnapshot& stats,
+               const std::string& json_path) {
+  std::printf("\n%s", stats.render_text().c_str());
+  if (!json_path.empty()) {
     try {
-      common::write_file_atomic(
-          o.port_file, std::to_string(ingest.port()) + " " +
-                           std::to_string(pub ? pub->port() : 0u) + "\n");
+      common::write_file_atomic(json_path, stats.render_json());
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "serve: cannot write --port-file: %s\n", e.what());
-      return 1;
+      std::fprintf(stderr, "serve: cannot write --stats-json: %s\n",
+                   e.what());
     }
   }
-  const std::string publish_note =
-      pub ? ", publishing verdicts on " + std::to_string(pub->port()) : "";
-  std::printf("serve: ingest on %u%s, %zu consumer lane(s), max %d "
-              "connection(s)%s\n",
-              ingest.port(), publish_note.c_str(), service.num_lanes(),
-              o.max_conns, o.once ? ", exiting after first client wave" : "");
+  return stats.reports_classified > 0 ? 0 : 1;
+}
 
-  std::signal(SIGINT, on_shutdown_signal);
-  std::signal(SIGTERM, on_shutdown_signal);
-  std::signal(SIGHUP, on_hup_signal);
-  auto last_save = std::chrono::steady_clock::now();
-  const auto maybe_snapshot = [&] {
-    if (state_file.empty()) return;
-    const auto now = std::chrono::steady_clock::now();
-    if (now - last_save < std::chrono::milliseconds(o.state_interval_ms))
-      return;
-    try {
-      service.save_sessions(state_file);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "serve: session snapshot failed: %s\n", e.what());
-    }
-    last_save = now;
-  };
-
-  // ------------------------------------------------ model lifecycle
-  const std::string model_path = args.get("model");
-  const auto attempt_swap = [&](const std::string& path, const char* trigger) {
-    const core::Authenticator::SwapResult r = auth.swap_model(path);
-    if (r.ok()) {
-      service.on_model_swapped();  // drift EWMA re-warms under new weights
-      std::printf("serve: model hot-swapped (%s) -> epoch %llu\n", trigger,
-                  static_cast<unsigned long long>(r.epoch));
+void print_swaps(const serving::Server::TickReport& tick) {
+  for (const serving::Server::SwapAttempt& a : tick.swaps) {
+    const auto epoch = static_cast<unsigned long long>(a.result.epoch);
+    if (a.result.ok()) {
+      std::printf("serve: model hot-swapped (%s) -> epoch %llu\n",
+                  a.trigger.c_str(), epoch);
       std::fflush(stdout);  // drills tail the log for this line
     } else {
       std::fprintf(stderr,
                    "serve: model swap REFUSED (%s): %s — still serving "
                    "epoch %llu\n",
-                   trigger, r.error.c_str(),
-                   static_cast<unsigned long long>(r.epoch));
+                   a.trigger.c_str(), a.result.error.c_str(), epoch);
     }
-    return r.ok();
-  };
-  // --model-watch: swap only once the stamp is STABLE across two polls
-  // (changed since the last attempt AND unchanged since the last look) —
-  // our own artifacts rename atomically, but external cp pipelines do
-  // not, and half a weights file must never reach the loader.
-  FileStamp watch_prev = stamp_of(model_path);
-  FileStamp watch_attempted = watch_prev;
-  auto last_watch = std::chrono::steady_clock::now();
-  const auto lifecycle_tick = [&] {
+  }
+  if (!tick.snapshot_error.empty())
+    std::fprintf(stderr, "serve: session snapshot failed: %s\n",
+                 tick.snapshot_error.c_str());
+}
+
+// Both serve front ends end with the per-station verdicts.
+int finish_serve(const serving::Server& server,
+                 const serving::StatsSnapshot& stats) {
+  std::printf("\nper-station verdicts (rolling window of %zu):\n",
+              server.options().service.sessions.window);
+  for (const serving::StationVerdict& v : server.service().sessions().snapshot())
+    std::printf("  %s -> module %d (%zu/%zu window votes, mean confidence "
+                "%.2f, %zu reports, last t=%.3fs)\n",
+                v.station.to_string().c_str(), v.module_id, v.votes,
+                v.window_size, v.mean_confidence, v.total_reports,
+                v.last_timestamp_s);
+  return finish_run(stats, server.options().stats_json);
+}
+
+// `serve --listen`: serving::Server assembles the process; this loop
+// only maps signals onto it and prints. All knob validation already
+// happened in ServeOptions::parse.
+int cmd_serve_listen(const serving::ServeOptions& o, core::Authenticator auth,
+                     std::optional<core::Authenticator> candidate) {
+  if (candidate)
+    std::printf("serve: shadow-scoring %s on 1-in-%d of the stream%s\n",
+                o.shadow_model.c_str(), o.shadow_sample,
+                o.promote_below >= 0.0 ? " (auto-promote armed)" : "");
+  serving::Server server(o, std::move(auth), std::move(candidate));
+  const serving::Server::Startup up = server.start();
+  if (up.restore == serving::SessionTable::RestoreStatus::kRestored)
+    std::printf("serve: restored %zu station session(s) from %s\n",
+                up.restored_stations, o.state_file.c_str());
+  else if (up.restore == serving::SessionTable::RestoreStatus::kNoFile)
+    std::printf("serve: no session snapshot at %s, starting cold\n",
+                o.state_file.c_str());
+  if (!up.ok()) {
+    std::fprintf(stderr, "serve: %s\n", up.error.c_str());
+    return 1;
+  }
+  const std::string publish_note =
+      o.publish ? ", publishing verdicts on " +
+                      std::to_string(server.publish_port())
+                : "";
+  std::printf("serve: ingest on %u%s, %zu consumer lane(s), max %d "
+              "connection(s)%s\n",
+              server.ingest_port(), publish_note.c_str(),
+              server.service().num_lanes(), o.max_conns,
+              o.once ? ", exiting after first client wave" : "");
+
+  std::signal(SIGINT, on_shutdown_signal);
+  std::signal(SIGTERM, on_shutdown_signal);
+  std::signal(SIGHUP, on_hup_signal);
+  while (g_interrupted == 0 && !server.wait(std::chrono::milliseconds(200))) {
     if (g_hup != 0) {
       g_hup = 0;
-      attempt_swap(model_path, "SIGHUP");
+      server.request_swap();
     }
-    if (o.model_watch_ms > 0) {
-      const auto now = std::chrono::steady_clock::now();
-      if (now - last_watch >= std::chrono::milliseconds(o.model_watch_ms)) {
-        last_watch = now;
-        const FileStamp cur = stamp_of(model_path);
-        if (cur.mtime_ns >= 0 && cur != watch_attempted && cur == watch_prev) {
-          watch_attempted = cur;
-          attempt_swap(model_path, "watch");
-        }
-        watch_prev = cur;
-      }
-    }
-    if (shadow && shadow->promotable()) {
-      // One promotion offer per candidate — win or lose, never retried
-      // on every tick (a refused candidate stays in shadow, its stats
-      // keep accumulating for the operator to inspect).
-      shadow->mark_promoted();
-      attempt_swap(o.shadow_model, "shadow-promotion");
-    }
-  };
-
-  if (o.once) {
-    while (g_interrupted == 0 &&
-           !ingest.wait_until_idle_for(std::chrono::milliseconds(200))) {
-      lifecycle_tick();
-      maybe_snapshot();
-    }
-  } else {
-    while (g_interrupted == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(200));
-      lifecycle_tick();
-      maybe_snapshot();
-    }
+    print_swaps(server.tick());
   }
   if (g_interrupted != 0) std::printf("serve: signal received, draining\n");
-  ingest.stop();
-  service.drain();  // queued reports classify; verdict callbacks still fire
-  if (!state_file.empty()) {
-    // Final snapshot after the drain so a clean shutdown persists every
-    // classified report, not just the last periodic cut.
-    try {
-      service.save_sessions(state_file);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "serve: final session snapshot failed: %s\n",
-                   e.what());
-    }
-  }
-
-  serving::StatsSnapshot stats = service.stats();
-  if (shadow) {
-    // Lane threads are joined (drain), so the tap is quiet: score what is
-    // still queued, then fold the tallies into the snapshot.
-    shadow->stop();
-    stats.shadow = shadow->stats();
-  }
-  if (pub) {
-    // Authoritative end-of-run state: a full verdict snapshot (covers
-    // subscribers that connected after early transitions) and the final
-    // counters, flushed before the publisher closes.
-    for (const serving::StationVerdict& v : service.sessions().snapshot())
-      pub->publish(to_verdict_msg(v));
-    net::StatsMsg sm;
-    sm.reports_classified = stats.reports_classified;
-    sm.dropped_oldest = stats.queue.dropped_oldest;
-    sm.rejected = stats.queue.rejected;
-    sm.throughput_rps = stats.throughput_rps;
-    sm.batch_latency_p99_ms = stats.batch_latency_p99_ms;
-    sm.stations = stats.sessions.stations;
-    sm.evicted_ttl = stats.sessions.evicted_ttl;
-    sm.evicted_lru = stats.sessions.evicted_lru;
-    sm.session_bytes = stats.sessions.approx_bytes;
-    sm.epoch = stats.lifecycle.epoch;
-    sm.swaps_completed = stats.lifecycle.swaps_completed;
-    sm.swaps_rolled_back = stats.lifecycle.swaps_rolled_back;
-    sm.stations_drifting = stats.sessions.stations_drifting;
-    pub->publish_stats(sm);
-    pub->stop();
-  }
-
-  print_verdicts(service, cfg);
-  // The socket counters live with the socket owners; mirror them into
-  // the snapshot so the renderer (and --stats-json) sees one object.
-  const net::IngestStats is = ingest.stats();
-  stats.ingest.present = true;
-  stats.ingest.conns_accepted = is.conns_accepted;
-  stats.ingest.conns_rejected = is.conns_rejected;
-  stats.ingest.conns_shed = is.conns_shed;
-  stats.ingest.frames = is.frames;
-  stats.ingest.reports_submitted = is.reports_submitted;
-  stats.ingest.reports_dropped = is.reports_dropped;
-  stats.ingest.malformed_payloads = is.malformed_payloads;
-  stats.ingest.protocol_errors = is.protocol_errors;
-  stats.ingest.pauses = is.pauses;
-  if (pub) {
-    const net::PublisherStats ps = pub->stats();
-    stats.publish.present = true;
-    stats.publish.subscribers_accepted = ps.subscribers_accepted;
-    stats.publish.frames_published = ps.frames_published;
-    stats.publish.frames_dropped = ps.frames_dropped;
-    stats.publish.bytes_sent = ps.bytes_sent;
-  }
-  std::printf("\n%s", stats.render_text().c_str());
-  write_stats_json(o.stats_json, stats);
-  return stats.reports_classified > 0 ? 0 : 1;
+  const std::string err = server.stop();
+  if (!err.empty())
+    std::fprintf(stderr, "serve: final session snapshot failed: %s\n",
+                 err.c_str());
+  return finish_serve(server, server.stats());
 }
 
 int cmd_serve(const Args& args) {
@@ -755,14 +521,18 @@ int cmd_serve(const Args& args) {
   const serving::ServeOptions& o = *parsed;
   const serving::ServiceConfig& cfg = o.service;
 
-  if (o.listen) return cmd_serve_listen(args, o);
+  core::Authenticator auth = load_authenticator(args);
+  // Shadow works on replay too (offline candidate qualification against a
+  // recorded capture); only auto-promotion needs the listen loop's tick.
+  std::optional<core::Authenticator> candidate = load_candidate(o, auth);
+  if (o.listen)
+    return cmd_serve_listen(o, std::move(auth), std::move(candidate));
 
   serving::ReplayConfig replay;
   replay.loops = o.loops;
   replay.producers = o.producers;
   replay.rate_rps = o.rate_rps;
 
-  const core::Authenticator auth = load_authenticator(args);
   const auto packets = capture::read_pcap(o.pcap);
   const auto observed = capture::observe_feedback(packets, std::nullopt);
   if (observed.empty()) {
@@ -782,36 +552,14 @@ int cmd_serve(const Args& args) {
               args.get("policy", "block").c_str(), cfg.scheduler.max_batch,
               static_cast<long>(cfg.scheduler.max_latency.count()));
 
-  // Shadow works on replay too (offline candidate qualification against a
-  // recorded capture); only auto-promotion is listen-mode-only.
-  std::optional<serving::ShadowScorer> shadow;
-  if (!o.shadow_model.empty()) {
-    serving::ShadowConfig scfg;
-    scfg.sample_every = static_cast<std::size_t>(o.shadow_sample);
-    shadow.emplace(load_candidate(o.shadow_model, auth), scfg);
-  }
-
-  serving::AuthService service(auth, cfg);
-  if (shadow)
-    service.set_shadow_callback(
-        [&shadow](const serving::PendingReport& r,
-                  const core::Authenticator::Prediction& p) {
-          shadow->observe(r, p);
-        });
+  serving::Server server(o, std::move(auth), std::move(candidate));
   const serving::ReplayResult rr =
-      serving::replay_observed(service, observed, replay);
-  serving::StatsSnapshot stats = service.stats();
-  if (shadow) {
-    shadow->stop();
-    stats.shadow = shadow->stats();
-  }
+      serving::replay_observed(server.service(), observed, replay);
+  server.stop();
+  serving::StatsSnapshot stats = server.stats();
   stats.reports_offered = rr.offered;
   stats.reports_accepted = rr.accepted;
-
-  print_verdicts(service, cfg);
-  std::printf("\n%s", stats.render_text().c_str());
-  write_stats_json(o.stats_json, stats);
-  return stats.reports_classified > 0 ? 0 : 1;
+  return finish_serve(server, stats);
 }
 
 // Decodes a MacAddress minted by MacAddress::for_fleet_station back to
@@ -891,9 +639,7 @@ int cmd_fleet(const Args& args) {
               live, live > 0 ? 100.0 * static_cast<double>(agree) /
                                    static_cast<double>(live)
                              : 0.0);
-  std::printf("\n%s", stats.render_text().c_str());
-  write_stats_json(o.stats_json, stats);
-  return stats.reports_classified > 0 ? 0 : 1;
+  return finish_run(stats, o.stats_json);
 }
 
 // Network replay driver: pushes a capture into `serve --listen` over N
