@@ -1,11 +1,11 @@
-// Inference-architecture benchmark: what the SharedModel /
-// InferenceContext split buys over the legacy stateful forward, and how
-// serving throughput scales with consumer lanes.
+// Inference-architecture benchmark: the SharedModel / InferenceContext
+// serving forward per SIMD backend, the int8 gate, and how serving
+// throughput scales with consumer lanes.
 //
 // Writes BENCH_infer.json for the perf trajectory:
 //   - infer_throughput: classified reports/s through the arena-planned
-//     context-pool path (path=1) vs the legacy Sequential::forward +
-//     softmax path (path=0), same batch size and thread count
+//     context-pool path (path=1; the row keeps its attribute so the
+//     baseline key is stable)
 //   - serving_consumer_throughput: AuthService classified reports/s at
 //     1 / 2 / 4 consumer lanes
 //   - forward_backend_throughput: pure single-thread forward-pass
@@ -16,9 +16,7 @@
 //     row gates the exit code at >= 2x (see that section for why the
 //     quick-scale row is reported, not gated)
 //   - backend_verdicts_match: classify verdicts agree across backends
-//     (rides the exit code alongside the bitwise check below)
-//   - context_matches_legacy: logits of the const forward are bitwise
-//     identical to the stateful forward (also rides the exit code)
+//     (rides the exit code)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -38,7 +36,6 @@
 #include "dataset/traces.h"
 #include "nn/gemm.h"
 #include "nn/infer.h"
-#include "nn/loss.h"
 #include "nn/quantize.h"
 #include "nn/simd.h"
 #include "phy/impairments.h"
@@ -75,34 +72,6 @@ std::vector<feedback::CompressedFeedbackReport> make_reports(std::size_t n) {
   return reports;
 }
 
-// The pre-refactor serving path: one stateful Sequential::forward over a
-// packed batch tensor, then softmax + argmax. Kept here (not in the
-// library) as the measured "before".
-std::vector<core::Authenticator::Prediction> legacy_classify_batch(
-    nn::Sequential& model, const dataset::InputSpec& spec,
-    const std::vector<feedback::CompressedFeedbackReport>& reports) {
-  const std::size_t c =
-      static_cast<std::size_t>(dataset::num_input_channels(spec));
-  const std::size_t w = dataset::num_input_columns(spec);
-  nn::Tensor x({reports.size(), c, 1, w});
-  common::parallel_for(
-      0, reports.size(), common::grain_for(c * w * 64),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i)
-          dataset::fill_features(reports[i], spec, x.data() + i * c * w);
-      });
-  const nn::Tensor probs = nn::softmax(model.forward(x, /*training=*/false));
-  const std::size_t k = probs.dim(1);
-  std::vector<core::Authenticator::Prediction> out(reports.size());
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const float* row = probs.data() + i * k;
-    const std::size_t best =
-        static_cast<std::size_t>(std::max_element(row, row + k) - row);
-    out[i] = {static_cast<int>(best), static_cast<double>(row[best])};
-  }
-  return out;
-}
-
 double measure_reports_per_second(std::size_t reports_per_rep, int reps,
                                   const std::function<void()>& body) {
   body();  // warm-up: contexts, pack scratch, feature scratch
@@ -112,30 +81,6 @@ double measure_reports_per_second(std::size_t reports_per_rep, int reps,
   return seconds > 0.0
              ? static_cast<double>(reports_per_rep) * reps / seconds
              : 0.0;
-}
-
-bool forward_paths_bitwise_identical(const core::Authenticator& auth,
-                                     nn::Sequential& legacy_model,
-                                     const dataset::InputSpec& spec,
-                                     const std::vector<
-                                         feedback::CompressedFeedbackReport>&
-                                         reports) {
-  const std::size_t c =
-      static_cast<std::size_t>(dataset::num_input_channels(spec));
-  const std::size_t w = dataset::num_input_columns(spec);
-  nn::Tensor x({reports.size(), c, 1, w});
-  for (std::size_t i = 0; i < reports.size(); ++i)
-    dataset::fill_features(reports[i], spec, x.data() + i * c * w);
-  const nn::Tensor legacy = legacy_model.forward(x, /*training=*/false);
-
-  nn::InferenceContext ctx(auth.shared_model(),
-                           {c, 1, w}, reports.size());
-  std::copy(x.data(), x.data() + x.numel(), ctx.input());
-  const tensor::ConstTensorView logits = ctx.run(reports.size());
-  if (logits.numel() != legacy.numel()) return false;
-  for (std::size_t i = 0; i < legacy.numel(); ++i)
-    if (logits.data()[i] != legacy[i]) return false;
-  return true;
 }
 
 serving::ServiceConfig service_config(std::size_t consumers,
@@ -183,8 +128,8 @@ std::vector<capture::ObservedFeedback> make_stream(int stations,
 
 int main() {
   bench::print_header("infer",
-                      "SharedModel/InferenceContext const forward vs legacy "
-                      "stateful forward, and consumer-lane scaling");
+                      "SharedModel/InferenceContext const forward per "
+                      "backend, and consumer-lane scaling");
   bench::BenchReport report("infer");
 
   dataset::InputSpec spec;
@@ -192,14 +137,12 @@ int main() {
   const core::ModelConfig model_cfg = dataset::full_scale_selected()
                                           ? core::paper_model_config()
                                           : core::quick_model_config();
-  const auto build = [&] {
-    return core::build_deepcsi_model(
-        dataset::num_input_channels(spec),
-        static_cast<int>(dataset::num_input_columns(spec)), phy::kNumModules,
-        model_cfg);
-  };
-  core::Authenticator auth(build(), spec);
-  nn::Sequential legacy_model = build();
+  core::Authenticator auth(
+      core::build_deepcsi_model(
+          dataset::num_input_channels(spec),
+          static_cast<int>(dataset::num_input_columns(spec)), phy::kNumModules,
+          model_cfg),
+      spec);
 
   const std::size_t batch = batch_from_env();
   const auto reports = make_reports(batch);
@@ -219,30 +162,14 @@ int main() {
     auth.calibrate_int8(features);
   }
 
-  // ---- forward-path comparison ------------------------------------------
-  const bool identical =
-      forward_paths_bitwise_identical(auth, legacy_model, spec, reports);
-  std::printf("const context forward bitwise-identical to legacy forward: "
-              "%s\n",
-              identical ? "yes" : "NO");
-  report.add_metric("context_matches_legacy", identical ? 1.0 : 0.0, "bool");
-
+  // ---- serving forward ---------------------------------------------------
   std::vector<core::Authenticator::Prediction> out(reports.size());
   const double ctx_rps = measure_reports_per_second(
       reports.size(), reps,
       [&] { auth.classify_batch_into(reports, out); });
-  const double legacy_rps = measure_reports_per_second(
-      reports.size(), reps,
-      [&] { legacy_classify_batch(legacy_model, spec, reports); });
-  std::printf("forward path (batch %zu, %d threads):\n", batch,
-              common::num_threads());
-  std::printf("  %-28s %12.1f reports/s\n", "legacy stateful forward",
-              legacy_rps);
-  std::printf("  %-28s %12.1f reports/s (%.2fx)\n",
-              "context-pool const forward", ctx_rps,
-              legacy_rps > 0.0 ? ctx_rps / legacy_rps : 0.0);
-  report.add_metric("infer_throughput", legacy_rps, "reports/s",
-                    {{"path", 0.0}, {"max_batch", static_cast<double>(batch)}});
+  std::printf("classify_batch_into (batch %zu, %d threads): %12.1f "
+              "reports/s\n",
+              batch, common::num_threads(), ctx_rps);
   report.add_metric("infer_throughput", ctx_rps, "reports/s",
                     {{"path", 1.0}, {"max_batch", static_cast<double>(batch)}});
 
@@ -430,5 +357,5 @@ int main() {
   std::printf("\n");
 
   report.write_json();
-  return identical ? 0 : 1;
+  return 0;
 }

@@ -24,7 +24,7 @@
 #include "dataset/traces.h"
 #include "feedback/bitpack.h"
 #include "linalg/svd.h"
-#include "nn/loss.h"
+#include "nn/infer.h"
 #include "phy/channel.h"
 #include "phy/sounding.h"
 
@@ -161,29 +161,29 @@ void BM_FeatureAssembly(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureAssembly);
 
+// One report through the serving forward: InferenceContext::run(1).
+void cnn_inference(benchmark::State& state, const core::ModelConfig& cfg,
+                   std::size_t width) {
+  const nn::Sequential model =
+      core::build_deepcsi_model(5, static_cast<int>(width), 10, cfg);
+  nn::InferenceContext ctx(model, {5, 1, width}, 1);
+  for (std::size_t i = 0; i < ctx.sample_numel(); ++i)
+    ctx.input()[i] = static_cast<float>(i % 13) * 0.01f;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ctx.run(1).data());
+    benchmark::ClobberMemory();
+  }
+}
+
 void BM_CnnInferencePaperModel(benchmark::State& state) {
   // The paper's 489,301-parameter network on a full-band input: the
   // real-time authentication cost per feedback frame.
-  nn::Sequential model =
-      core::build_deepcsi_model(5, 234, 10, core::paper_model_config());
-  nn::Tensor x({1, 5, 1, 234});
-  for (std::size_t i = 0; i < x.numel(); ++i)
-    x[i] = static_cast<float>(i % 13) * 0.01f;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.forward(x, false));
-  }
+  cnn_inference(state, core::paper_model_config(), 234);
 }
 BENCHMARK(BM_CnnInferencePaperModel);
 
 void BM_CnnInferenceQuickModel(benchmark::State& state) {
-  nn::Sequential model =
-      core::build_deepcsi_model(5, 117, 10, core::quick_model_config());
-  nn::Tensor x({1, 5, 1, 117});
-  for (std::size_t i = 0; i < x.numel(); ++i)
-    x[i] = static_cast<float>(i % 13) * 0.01f;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.forward(x, false));
-  }
+  cnn_inference(state, core::quick_model_config(), 117);
 }
 BENCHMARK(BM_CnnInferenceQuickModel);
 

@@ -97,9 +97,9 @@ ModelLoadStatus load_model_artifact(
 // exchange. In-flight classify calls finish on the epoch they pinned,
 // which retires when its last lease drops — a swap never blocks serving
 // and serving never blocks a swap. The only non-const entry points are
-// model(), load() and the int8 calibration hooks, which mutate the
-// CURRENT epoch's weights for the train/eval path and must not race a
-// concurrent classify (swap_model, by contrast, is safe to race).
+// load() and the int8 calibration hooks, which mutate the CURRENT
+// epoch's weights and must not race a concurrent classify (swap_model,
+// by contrast, is safe to race).
 class Authenticator {
  public:
   // Contexts are planned for batches up to this size; larger classify
@@ -137,11 +137,8 @@ class Authenticator {
 
   const dataset::InputSpec& input_spec() const { return spec_; }
   // Current epoch's model. The reference is only stable while no swap
-  // runs — tests and benches use it, the serving path never does.
+  // runs — tests, benches and offline evaluation use it, serving never does.
   const nn::SharedModel& shared_model() const;
-  // Stateful train/eval escape hatch (nn::evaluate, weight mutation).
-  // NOT thread-safe, and must not race concurrent classify calls.
-  nn::Sequential& model();
 
   void save(const std::string& path) const;
   // The caller must construct the Authenticator with the same architecture
@@ -158,7 +155,7 @@ class Authenticator {
   // refusal, spec mismatch, injected "model.load"/"model.swap" failpoint
   // — leaves the incumbent epoch serving untouched ("rolled back") and
   // is counted in swaps_rolled_back(). Thread-safe, including against
-  // itself and against classify; NOT against model()/load()/calibrate.
+  // itself and against classify; NOT against load()/calibrate.
   enum class SwapStatus {
     kSwapped,       // new epoch published
     kLoadError,     // artifact unreadable (ModelLoadStatus::kIoError)
@@ -181,12 +178,13 @@ class Authenticator {
 
   // INT8 calibration (nn/quantize.h). Both attach quantized weights to
   // the Conv2d/Dense layers and rebuild the context pool so new leases
-  // plan the int8 arena slices. NOT thread-safe — like model()/load(),
+  // plan the int8 arena slices. NOT thread-safe — like load(),
   // run before serving starts or after it drains.
   //
   // Measure activation ranges on `samples` ([N, C, 1, W] feature
   // tensors, normally the training set) and apply them; returns the
-  // entries for persisting via nn::save_calibration.
+  // entries for persisting via nn::save_calibration. Refuses an
+  // already-calibrated model.
   std::vector<nn::CalibrationEntry> calibrate_int8(
       const tensor::Tensor& samples);
   // Apply previously-measured entries (a loaded sidecar).

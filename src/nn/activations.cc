@@ -25,7 +25,7 @@ void selu_apply(const float* x, float* y, std::size_t n) {
 
 }  // namespace
 
-Tensor Selu::forward(const Tensor& x, bool /*training*/) {
+Tensor Selu::forward(const Tensor& x) {
   cached_x_ = x;
   Tensor out = x;
   selu_apply(x.data(), out.data(), out.numel());
@@ -54,7 +54,7 @@ Tensor Selu::backward(const Tensor& grad_out) {
   return grad_in;
 }
 
-Tensor Flatten::forward(const Tensor& x, bool /*training*/) {
+Tensor Flatten::forward(const Tensor& x) {
   DEEPCSI_CHECK(x.rank() >= 2);
   cached_shape_ = x.shape();
   return x.reshaped({x.dim(0), x.numel() / x.dim(0)});

@@ -11,7 +11,7 @@ inline constexpr float kSeluAlpha = 1.6732632423543772f;
 
 class Selu final : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool training) override;
+  Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void plan_inference(InferencePlan& plan) const override;
   void forward_into(const InferArgs& args) const override;
@@ -24,7 +24,7 @@ class Selu final : public Layer {
 // [N, C, H, W] (or any rank >= 2) -> [N, rest].
 class Flatten final : public Layer {
  public:
-  Tensor forward(const Tensor& x, bool training) override;
+  Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void plan_inference(InferencePlan& plan) const override;
   void forward_into(const InferArgs& args) const override;

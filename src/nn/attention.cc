@@ -34,7 +34,7 @@ void SpatialAttention::compute_maps(const float* x, std::size_t n_batch,
   }
 }
 
-Tensor SpatialAttention::forward(const Tensor& x, bool training) {
+Tensor SpatialAttention::forward(const Tensor& x) {
   DEEPCSI_CHECK(x.rank() == 4);
   const std::size_t n_batch = x.dim(0), ch = x.dim(1), hh = x.dim(2),
                     ww = x.dim(3);
@@ -45,7 +45,7 @@ Tensor SpatialAttention::forward(const Tensor& x, bool training) {
   argmax_.assign(n_batch * hh * ww, 0);
   compute_maps(x.data(), n_batch, ch, hh, ww, maps.data(), argmax_.data());
 
-  Tensor s = conv_.forward(maps, training);
+  Tensor s = conv_.forward(maps);
   cached_w_ = s;
   float* __restrict wv = cached_w_.data();
   for (std::size_t i = 0; i < cached_w_.numel(); ++i)

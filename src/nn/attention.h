@@ -19,7 +19,7 @@ class SpatialAttention final : public Layer {
  public:
   explicit SpatialAttention(std::mt19937_64& rng, std::size_t kernel_w = 5);
 
-  Tensor forward(const Tensor& x, bool training) override;
+  Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void plan_inference(InferencePlan& plan) const override;
   void forward_into(const InferArgs& args) const override;

@@ -110,12 +110,6 @@ void Conv2d::prepare_int8(float input_absmax) {
                          in_channels_ * kh_ * kw_, input_absmax);
 }
 
-void Conv2d::im2col(const Tensor& x, std::vector<float>& cols) const {
-  const std::size_t n_batch = x.dim(0), hh = x.dim(2), ww = x.dim(3);
-  cols.resize(n_batch * in_channels_ * kh_ * kw_ * hh * ww);
-  im2col_into(x.data(), n_batch, hh, ww, cols.data());
-}
-
 // out[n] = bias + W * cols[n]; optionally SELU-activated in the GEMM's
 // per-row epilogue (the fused serve path — the activation runs while each
 // output row is still hot in the chunk that produced it). The bias is
@@ -134,26 +128,13 @@ void Conv2d::compute_forward(const float* cols, std::size_t n_batch,
                   bias_.value.data());
 }
 
-Tensor Conv2d::forward(const Tensor& x, bool training) {
+Tensor Conv2d::forward(const Tensor& x) {
   DEEPCSI_CHECK(x.rank() == 4);
   DEEPCSI_CHECK_MSG(x.dim(1) == in_channels_, "conv2d channel mismatch");
   const std::size_t n_batch = x.dim(0), hh = x.dim(2), ww = x.dim(3);
-  const std::size_t hw = hh * ww;
-  const std::size_t ckk = in_channels_ * kh_ * kw_;
   cached_x_ = x;
-
-  // One shared column buffer for both modes keeps steady-state serving
-  // allocation-free; grossly oversized capacity (training leftovers, or a
-  // much larger earlier serving batch) is dropped so the layer doesn't pin
-  // kh*kw-times-the-largest-input scratch forever. The 4x slack keeps
-  // mixed batch-1 / batch-N traffic from thrashing the allocator.
-  if (!training) {
-    if (cached_cols_.capacity() > 4 * n_batch * ckk * hw)
-      std::vector<float>().swap(cached_cols_);
-    if (!col_grad_scratch_.empty())
-      std::vector<float>().swap(col_grad_scratch_);
-  }
-  im2col(x, cached_cols_);
+  cached_cols_.resize(n_batch * in_channels_ * kh_ * kw_ * hh * ww);
+  im2col_into(x.data(), n_batch, hh, ww, cached_cols_.data());
 
   Tensor out({n_batch, out_channels_, hh, ww});
   compute_forward(cached_cols_.data(), n_batch, hh, ww, out.data());
@@ -233,9 +214,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                 grad_out.dim(3) == ww);
   const std::size_t hw = hh * ww;
   const std::size_t ckk = in_channels_ * kh_ * kw_;
-  // Backward after an inference-mode forward (gradcheck does this):
-  // rebuild the columns from the cached input.
-  if (cached_cols_.size() != n_batch * ckk * hw) im2col(x, cached_cols_);
 
   // grad_b += per-plane sums (n ascending, double accumulator per plane).
   float* __restrict gb = bias_.grad.data();

@@ -25,7 +25,7 @@ class Conv2d final : public Layer {
   Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kh,
          std::size_t kw, std::mt19937_64& rng);
 
-  Tensor forward(const Tensor& x, bool training) override;
+  Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void plan_inference(InferencePlan& plan) const override;
   void forward_into(const InferArgs& args) const override;
@@ -52,8 +52,6 @@ class Conv2d final : public Layer {
   std::size_t pad_h_, pad_w_;
   Param weight_;  // [out, in, kh, kw]
   Param bias_;    // [out]
-  // Unrolls x into [N][Cin*kh*kw][H*W] column rows (parallel per row).
-  void im2col(const Tensor& x, std::vector<float>& cols) const;
   // The raw kernels shared by both forward paths (train caches feed off
   // the same routines, so serve output is bitwise identical).
   void im2col_into(const float* x, std::size_t n_batch, std::size_t hh,
@@ -72,9 +70,7 @@ class Conv2d final : public Layer {
   QuantizedWeights qw_;  // empty until prepare_int8
 
   Tensor cached_x_;
-  // im2col of cached_x_, shared by both modes: backward's weight-gradient
-  // GEMM consumes it after training-mode forward; inference reuses its
-  // capacity across calls and drops oversized leftovers on transition.
+  // im2col of cached_x_: backward's weight-gradient GEMM consumes it.
   std::vector<float> cached_cols_;
   std::vector<float> col_grad_scratch_;  // backward column gradients
 };

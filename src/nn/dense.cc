@@ -36,7 +36,7 @@ void Dense::compute_forward(const float* x, std::size_t n_batch,
       });
 }
 
-Tensor Dense::forward(const Tensor& x, bool /*training*/) {
+Tensor Dense::forward(const Tensor& x) {
   DEEPCSI_CHECK(x.rank() == 2 && x.dim(1) == in_features_);
   const std::size_t n_batch = x.dim(0);
   cached_x_ = x;

@@ -13,7 +13,7 @@ class Dense final : public Layer {
   Dense(std::size_t in_features, std::size_t out_features,
         std::mt19937_64& rng);
 
-  Tensor forward(const Tensor& x, bool training) override;
+  Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void plan_inference(InferencePlan& plan) const override;
   void forward_into(const InferArgs& args) const override;

@@ -15,9 +15,8 @@ AlphaDropout::AlphaDropout(float drop_rate, std::uint64_t seed)
   b_ = -a_ * drop_rate_ * alpha_p;
 }
 
-Tensor AlphaDropout::forward(const Tensor& x, bool training) {
-  last_was_training_ = training;
-  if (!training || drop_rate_ == 0.0f) return x;
+Tensor AlphaDropout::forward(const Tensor& x) {
+  if (drop_rate_ == 0.0f) return x;
 
   const float alpha_p = -kSeluLambda * kSeluAlpha;
   Tensor out = x;
@@ -39,13 +38,12 @@ void AlphaDropout::plan_inference(InferencePlan& plan) const {
 }
 
 void AlphaDropout::forward_into(const InferArgs& args) const {
-  // Inference-mode dropout is the identity, exactly like
-  // forward(x, /*training=*/false).
+  // Inference-mode dropout is the identity.
   std::copy(args.x.data(), args.x.data() + args.x.numel(), args.y.data());
 }
 
 Tensor AlphaDropout::backward(const Tensor& grad_out) {
-  if (!last_was_training_ || drop_rate_ == 0.0f) return grad_out;
+  if (drop_rate_ == 0.0f) return grad_out;
   DEEPCSI_CHECK(mask_.size() == grad_out.numel());
   Tensor grad_in = grad_out;
   float* __restrict g = grad_in.data();

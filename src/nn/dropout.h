@@ -18,7 +18,7 @@ class AlphaDropout final : public Layer {
  public:
   AlphaDropout(float drop_rate, std::uint64_t seed);
 
-  Tensor forward(const Tensor& x, bool training) override;
+  Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void plan_inference(InferencePlan& plan) const override;
   void forward_into(const InferArgs& args) const override;
@@ -31,7 +31,6 @@ class AlphaDropout final : public Layer {
   float a_, b_;
   std::mt19937_64 rng_;
   std::vector<std::uint8_t> mask_;  // 1 = kept
-  bool last_was_training_ = false;
 };
 
 }  // namespace deepcsi::nn

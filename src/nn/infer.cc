@@ -32,10 +32,10 @@ void resolve_scratch(InferencePlan& plan, float* base, std::size_t& offset) {
 
 }  // namespace
 
-InferenceContext::InferenceContext(const SharedModel& model,
+InferenceContext::InferenceContext(const Sequential& graph,
                                    tensor::StaticShape sample_shape,
                                    std::size_t max_batch)
-    : graph_(model.graph_ptr()), max_batch_(max_batch) {
+    : graph_(graph), max_batch_(max_batch) {
   DEEPCSI_CHECK(max_batch_ >= 1);
   DEEPCSI_CHECK(sample_shape.rank >= 1 &&
                 sample_shape.rank < tensor::kMaxViewRank);
@@ -48,7 +48,7 @@ InferenceContext::InferenceContext(const SharedModel& model,
 
   // One walk over the layer graph: every intermediate shape and scratch
   // requirement is known before a single float is allocated.
-  const std::size_t n_layers = graph_->num_layers();
+  const std::size_t n_layers = graph_.num_layers();
   steps_.reserve(n_layers);
   tensor::StaticShape shape = in_shape_;
   std::size_t max_activation = shape.numel();
@@ -56,7 +56,7 @@ InferenceContext::InferenceContext(const SharedModel& model,
   for (std::size_t i = 0; i < n_layers; ++i) {
     InferencePlan plan;
     plan.in_shape = shape;
-    graph_->layer(i).plan_inference(plan);
+    graph_.layer(i).plan_inference(plan);
     shape = plan.out_shape;
     if (shape.numel() > max_activation) max_activation = shape.numel();
     total_scratch += scratch_floats(plan);
@@ -67,12 +67,11 @@ InferenceContext::InferenceContext(const SharedModel& model,
   // epilogue (cache-hot, one arena traversal) and the Selu step is
   // skipped. The SELU kernel is a position-independent elementwise
   // function, so the fused activations are bitwise identical to the
-  // two-step path — run() output still matches the stateful
-  // Sequential::forward exactly.
+  // two-step path.
   fused_away_.assign(n_layers, 0);
   for (std::size_t i = 0; i + 1 < n_layers; ++i) {
-    if (graph_->layer(i).name() == "conv2d" &&
-        graph_->layer(i + 1).name() == "selu") {
+    if (graph_.layer(i).name() == "conv2d" &&
+        graph_.layer(i + 1).name() == "selu") {
       steps_[i].fuse_selu = true;
       fused_away_[i + 1] = 1;
     }
@@ -91,15 +90,17 @@ InferenceContext::InferenceContext(const SharedModel& model,
   DEEPCSI_CHECK(offset == arena_.size());
 }
 
-tensor::ConstTensorView InferenceContext::run(std::size_t n) {
+tensor::ConstTensorView InferenceContext::run(std::size_t n,
+                                              const InputObserver* observe) {
   DEEPCSI_CHECK(n >= 1 && n <= max_batch_);
   tensor::ConstTensorView x(input_, in_shape_.with_dim0(n));
   std::size_t slot = 0;
   for (std::size_t i = 0; i < steps_.size(); ++i) {
     if (fused_away_[i]) continue;  // selu applied by the previous conv
+    if (observe != nullptr) (*observe)(i, x);
     const InferencePlan& plan = steps_[i];
     tensor::TensorView y(act_[slot], plan.out_shape.with_dim0(n));
-    graph_->layer(i).forward_into({x, y, plan});
+    graph_.layer(i).forward_into({x, y, plan});
     x = tensor::ConstTensorView(y.data(), y.shape());
     slot ^= 1;
   }

@@ -1,4 +1,5 @@
-// The weights / execution-state split that makes serving concurrent:
+// The weights / execution-state split that makes serving concurrent, and
+// the only eval-mode forward (serving, nn::evaluate, int8 calibration).
 //
 //   SharedModel       — an immutable, shareable trained network. Holds the
 //                       layer graph behind a shared_ptr (stable address
@@ -25,12 +26,13 @@
 //
 // Determinism: forward_into reuses the exact kernels of the stateful
 // train-path forward (same parallel_for chunking, same accumulation
-// order), so context output is bitwise identical to
-// Sequential::forward(x, /*training=*/false) for any DEEPCSI_THREADS and
-// any batch chunking.
+// order), so output is bitwise identical for any DEEPCSI_THREADS and any
+// batch chunking, and equals a walk of the train kernels with dropout as
+// the identity.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -53,12 +55,11 @@ class SharedModel {
   SharedModel& operator=(SharedModel&&) = default;
 
   const Sequential& graph() const { return *model_; }
-  std::shared_ptr<const Sequential> graph_ptr() const { return model_; }
   std::size_t num_trainable() const { return graph().num_trainable(); }
 
-  // Escape hatch for weight loading and the stateful train/eval path.
-  // Mutating the graph while contexts built from this model are running
-  // is a race: do it before serving starts or after it drains.
+  // Escape hatch for weight loading and int8 calibration. Mutating the
+  // graph while contexts built from this model are running is a race:
+  // do it before serving starts or after it drains.
   Sequential& mutable_graph() { return *model_; }
 
  private:
@@ -69,9 +70,13 @@ class InferenceContext {
  public:
   // Plans the whole network for inputs of per-sample shape `sample_shape`
   // (e.g. {C, 1, W}) at batches up to `max_batch`, and allocates the
-  // arena. Keeps the graph alive via the model's shared_ptr.
-  InferenceContext(const SharedModel& model, tensor::StaticShape sample_shape,
+  // arena. The graph is borrowed: the caller keeps it alive, and its
+  // weights unchanged, for as long as the context runs.
+  InferenceContext(const Sequential& graph, tensor::StaticShape sample_shape,
                    std::size_t max_batch);
+  InferenceContext(const SharedModel& model, tensor::StaticShape sample_shape,
+                   std::size_t max_batch)
+      : InferenceContext(model.graph(), sample_shape, max_batch) {}
 
   InferenceContext(const InferenceContext&) = delete;
   InferenceContext& operator=(const InferenceContext&) = delete;
@@ -83,13 +88,19 @@ class InferenceContext {
   std::size_t max_batch() const { return max_batch_; }
   std::size_t arena_floats() const { return arena_.size(); }
 
+  // Sees (layer index, input [n, ...]) before each step runs; a Selu
+  // fused into its Conv2d is not a step.
+  using InputObserver =
+      std::function<void(std::size_t, tensor::ConstTensorView)>;
+
   // Const forward over the first n rows of input(). Returns the final
   // activation (logits) view, [n, K], valid until the next run. Zero heap
-  // allocations in steady state.
-  tensor::ConstTensorView run(std::size_t n);
+  // allocations in steady state. Calibration passes `observe`.
+  tensor::ConstTensorView run(std::size_t n,
+                              const InputObserver* observe = nullptr);
 
  private:
-  std::shared_ptr<const Sequential> graph_;
+  const Sequential& graph_;
   std::size_t max_batch_;
   tensor::StaticShape in_shape_;  // [max_batch, sample...]
   std::vector<InferencePlan> steps_;

@@ -2,21 +2,19 @@
 //
 // Every layer exposes two forward paths:
 //
-//   * The stateful train path — forward(x, training) caches whatever the
-//     backward pass needs (inputs, im2col columns, pool argmaxes), then
-//     backward() consumes it. Owned by Trainer; never safe to share.
-//   * The const serve path — plan_inference() describes, for a fixed max
-//     batch, every intermediate shape and scratch buffer the layer needs,
-//     and forward_into() executes against pre-resolved arena slices
-//     without mutating the layer. This is what SharedModel /
-//     InferenceContext (nn/infer.h) build on: immutable weights, all
-//     execution state in the per-thread context, zero steady-state heap
-//     allocations, and outputs bitwise identical to
-//     forward(x, /*training=*/false).
+//   * The stateful train path — forward(x) caches whatever the backward
+//     pass needs (inputs, im2col columns, pool argmaxes, dropout masks),
+//     then backward() consumes it. Owned by the Trainer; used for nothing
+//     but training.
+//   * The const inference path — plan_inference() describes, for a fixed
+//     max batch, every intermediate shape and scratch buffer the layer
+//     needs, and forward_into() executes against pre-resolved arena
+//     slices without mutating the layer. Serving, nn::evaluate and int8
+//     calibration all run here, through InferenceContext (nn/infer.h).
+//     Dropout is the identity; every other layer reuses the train kernels.
 //
-// The training loop is strictly: forward(batch, training=true) through
-// all layers, loss head, backward in reverse order, optimizer step on the
-// collected Params.
+// The training loop is strictly: forward(batch) through all layers, loss
+// head, backward in reverse order, optimizer step on the collected Params.
 #pragma once
 
 #include <memory>
@@ -73,8 +71,8 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  // `training` toggles dropout-style stochastic behavior.
-  virtual Tensor forward(const Tensor& x, bool training) = 0;
+  // Train-mode forward: caches what backward() needs.
+  virtual Tensor forward(const Tensor& x) = 0;
 
   // grad w.r.t. this layer's output -> grad w.r.t. its input; parameter
   // gradients are accumulated into params()[i]->grad.
@@ -85,9 +83,8 @@ class Layer {
   // planned from one shared model.
   virtual void plan_inference(InferencePlan& plan) const = 0;
 
-  // Const forward for serving: read args.x, write args.y, using only the
-  // pre-planned scratch in args.plan. Never allocates, never mutates the
-  // layer, and is bitwise identical to forward(x, /*training=*/false).
+  // Const inference forward: read args.x, write args.y, using only the
+  // pre-planned scratch in args.plan. Never allocates, never mutates.
   virtual void forward_into(const InferArgs& args) const = 0;
 
   virtual std::vector<Param*> params() { return {}; }

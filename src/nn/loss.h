@@ -23,4 +23,14 @@ LossResult softmax_cross_entropy(const Tensor& logits,
 // Inference-only softmax (no labels required).
 Tensor softmax(const Tensor& logits);
 
+// The verdict on one logits row: first-max argmax of softmax(row) and its
+// probability, bit-identical to softmax() including ties (rounding can
+// map distinct logits to one probability; the first wins). nn::evaluate
+// and the serving Authenticator share it.
+struct RowPrediction {
+  int label = -1;
+  float probability = 0.0f;
+};
+RowPrediction predict_row(const float* row, std::size_t k);
+
 }  // namespace deepcsi::nn

@@ -4,9 +4,9 @@
 
 namespace deepcsi::nn {
 
-Tensor Sequential::forward(const Tensor& x, bool training) {
+Tensor Sequential::forward(const Tensor& x) {
   Tensor cur = x;
-  for (auto& layer : layers_) cur = layer->forward(cur, training);
+  for (auto& layer : layers_) cur = layer->forward(cur);
   return cur;
 }
 

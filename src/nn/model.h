@@ -24,7 +24,8 @@ class Sequential {
 
   void add(LayerPtr layer) { layers_.push_back(std::move(layer)); }
 
-  Tensor forward(const Tensor& x, bool training);
+  // Train-mode forward; inference runs through nn::InferenceContext.
+  Tensor forward(const Tensor& x);
   // Backward through all layers; returns grad w.r.t. the model input.
   Tensor backward(const Tensor& grad_out);
 

@@ -37,7 +37,7 @@ void MaxPool2d::compute_forward(const float* x, std::size_t n_batch,
   }
 }
 
-Tensor MaxPool2d::forward(const Tensor& x, bool /*training*/) {
+Tensor MaxPool2d::forward(const Tensor& x) {
   DEEPCSI_CHECK(x.rank() == 4);
   const std::size_t n_batch = x.dim(0), ch = x.dim(1), hh = x.dim(2),
                     ww = x.dim(3);

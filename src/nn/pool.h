@@ -12,7 +12,7 @@ class MaxPool2d final : public Layer {
     DEEPCSI_CHECK(kh >= 1 && kw >= 1);
   }
 
-  Tensor forward(const Tensor& x, bool training) override;
+  Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   void plan_inference(InferencePlan& plan) const override;
   void forward_into(const InferArgs& args) const override;

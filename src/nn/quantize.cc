@@ -1,5 +1,6 @@
 #include "nn/quantize.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -7,6 +8,7 @@
 
 #include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "nn/infer.h"
 
 namespace deepcsi::nn {
 
@@ -47,41 +49,50 @@ QuantizedWeights quantize_weights(const float* w, std::size_t rows,
 
 namespace {
 
-bool is_quantizable(const Layer& layer) {
-  const std::string n = layer.name();
-  return n == "conv2d" || n == "dense";
-}
-
-// Strided subsample of up to max_samples rows, copied into a fresh
-// tensor so the calibration forward pass runs one bounded batch.
-tensor::Tensor subsample_rows(const tensor::Tensor& samples,
-                              std::size_t max_samples) {
-  const std::size_t n = samples.shape().empty() ? 0 : samples.shape()[0];
-  if (n == 0 || max_samples == 0 || n <= max_samples)
-    return tensor::slice_rows(samples, 0, n);
-  const std::size_t row = samples.numel() / n;
-  const std::size_t stride = (n + max_samples - 1) / max_samples;
-  std::vector<std::size_t> shape = samples.shape();
-  shape[0] = (n + stride - 1) / stride;
-  tensor::Tensor out(shape);
-  float* dst = out.data();
-  for (std::size_t s = 0; s < n; s += stride, dst += row)
-    std::memcpy(dst, samples.data() + s * row, row * sizeof(float));
-  return out;
-}
+// Calibration measures a strided subsample of at most kCalibrationRows
+// rows, kCalibrationChunk per forward (a running max is chunking-free).
+constexpr std::size_t kCalibrationRows = 512;
+constexpr std::size_t kCalibrationChunk = 64;
 
 }  // namespace
 
 std::vector<CalibrationEntry> calibrate_input_ranges(
-    Sequential& model, const tensor::Tensor& samples,
-    std::size_t max_samples) {
+    const Sequential& model, const tensor::Tensor& samples) {
   std::vector<CalibrationEntry> entries;
-  tensor::Tensor cur = subsample_rows(samples, max_samples);
   for (std::size_t i = 0; i < model.num_layers(); ++i) {
-    Layer& layer = model.layer(i);
-    if (is_quantizable(layer))
-      entries.push_back({static_cast<std::uint32_t>(i), cur.max_abs()});
-    cur = layer.forward(cur, /*training=*/false);
+    const auto* conv = dynamic_cast<const Conv2d*>(&model.layer(i));
+    const auto* dense = dynamic_cast<const Dense*>(&model.layer(i));
+    if (conv == nullptr && dense == nullptr) continue;
+    DEEPCSI_CHECK_MSG(conv != nullptr ? !conv->has_int8() : !dense->has_int8(),
+                      "int8 calibration needs the fp32 model, but layer "
+                          << i << " already carries int8 weights");
+    entries.push_back({static_cast<std::uint32_t>(i), 0.0f});
+  }
+  const std::vector<std::size_t>& shape = samples.shape();
+  const std::size_t n = shape.empty() ? 0 : shape[0];
+  if (n == 0) return entries;
+
+  const std::size_t stride = (n + kCalibrationRows - 1) / kCalibrationRows;
+  const std::size_t picked = (n + stride - 1) / stride;
+  const tensor::StaticShape sample =
+      tensor::StaticShape::from({shape.begin() + 1, shape.end()});
+  InferenceContext ctx(model, sample, std::min(picked, kCalibrationChunk));
+  const std::size_t row = ctx.sample_numel();
+  const InferenceContext::InputObserver observe =
+      [&](std::size_t layer, tensor::ConstTensorView x) {
+        for (CalibrationEntry& e : entries) {
+          if (e.layer_index != layer) continue;
+          for (std::size_t i = 0; i < x.numel(); ++i)
+            e.input_absmax = std::max(e.input_absmax, std::abs(x.data()[i]));
+        }
+      };
+  for (std::size_t at = 0; at < picked; at += ctx.max_batch()) {
+    const std::size_t rows = std::min(ctx.max_batch(), picked - at);
+    for (std::size_t r = 0; r < rows; ++r)
+      std::memcpy(ctx.input() + r * row,
+                  samples.data() + (at + r) * stride * row,
+                  row * sizeof(float));
+    ctx.run(rows, &observe);
   }
   return entries;
 }

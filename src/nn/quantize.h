@@ -70,12 +70,13 @@ struct CalibrationEntry {
   float input_absmax = 0.0f;
 };
 
-// Run up to max_samples rows of `samples` (strided subsample) through
-// the model in inference mode, recording the input absmax of every
-// top-level Conv2d/Dense layer. Does NOT modify the model.
+// Run up to 512 rows of `samples` (strided subsample) through an
+// InferenceContext in chunks, recording the input absmax of every
+// top-level Conv2d/Dense layer. Refuses (std::logic_error) a model that
+// already carries int8 weights: ranges come from fp32 activations. Does
+// NOT modify the model.
 std::vector<CalibrationEntry> calibrate_input_ranges(
-    Sequential& model, const tensor::Tensor& samples,
-    std::size_t max_samples = 512);
+    const Sequential& model, const tensor::Tensor& samples);
 
 // Attach int8 weights to the layers named by `entries` (prepare_int8).
 // Throws std::runtime_error when an entry does not point at a

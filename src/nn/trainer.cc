@@ -6,6 +6,7 @@
 #include <random>
 
 #include "common/parallel.h"
+#include "nn/infer.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 
@@ -105,7 +106,7 @@ TrainResult train_classifier(Sequential& model, const LabeledSet& train,
       for (std::size_t i = at; i < hi; ++i) yb[i - at] = train.y[order[i]];
 
       model.zero_grad();
-      const Tensor logits = model.forward(xb, /*training=*/true);
+      const Tensor logits = model.forward(xb);
       LossResult loss = softmax_cross_entropy(logits, yb);
       model.backward(loss.grad_logits);
       optimizer.step();
@@ -141,27 +142,30 @@ TrainResult train_classifier(Sequential& model, const LabeledSet& train,
   return result;
 }
 
-ConfusionMatrix evaluate(Sequential& model, const LabeledSet& test,
+ConfusionMatrix evaluate(const Sequential& model, const LabeledSet& test,
                          int batch_size) {
   DEEPCSI_CHECK(!test.empty());
   DEEPCSI_CHECK(test.num_classes >= 1);
+  DEEPCSI_CHECK_MSG(batch_size >= 1, "evaluate: batch_size must be >= 1");
+  DEEPCSI_CHECK(test.x.dim(0) == test.size());
   ConfusionMatrix cm(test.num_classes);
   const std::size_t n = test.size();
-  for (std::size_t at = 0; at < n; at += static_cast<std::size_t>(batch_size)) {
-    const std::size_t hi =
-        std::min(n, at + static_cast<std::size_t>(batch_size));
-    const Tensor xb = tensor::slice_rows(test.x, at, hi);
-    const Tensor logits = model.forward(xb, /*training=*/false);
-    const Tensor probs = softmax(logits);
-    const std::size_t k = probs.dim(1);
-    // The per-sample heavy lifting above (gather + forward) runs on the
-    // pool; the argmax over ~10 classes is too small to dispatch.
-    for (std::size_t r = 0; r < hi - at; ++r) {
-      const float* row = probs.data() + r * k;
-      const int pred =
-          static_cast<int>(std::max_element(row, row + k) - row);
-      cm.add(test.y[at + r], pred);
-    }
+  const std::vector<std::size_t>& shape = test.x.shape();
+  const tensor::StaticShape sample =
+      tensor::StaticShape::from({shape.begin() + 1, shape.end()});
+  InferenceContext ctx(model, sample,
+                       std::min(n, static_cast<std::size_t>(batch_size)));
+  const std::size_t row = ctx.sample_numel();
+  for (std::size_t at = 0; at < n; at += ctx.max_batch()) {
+    const std::size_t rows = std::min(ctx.max_batch(), n - at);
+    std::copy(test.x.data() + at * row, test.x.data() + (at + rows) * row,
+              ctx.input());
+    const tensor::ConstTensorView logits = ctx.run(rows);
+    const std::size_t k = logits.dim(1);
+    // The forward runs on the pool; the argmax over ~10 classes is too
+    // small to dispatch.
+    for (std::size_t r = 0; r < rows; ++r)
+      cm.add(test.y[at + r], predict_row(logits.data() + r * k, k).label);
   }
   return cm;
 }

@@ -47,7 +47,9 @@ struct TrainResult {
 TrainResult train_classifier(Sequential& model, const LabeledSet& train,
                              const TrainConfig& cfg);
 
-ConfusionMatrix evaluate(Sequential& model, const LabeledSet& test,
+// Accuracy of the classifier as served: one InferenceContext planned at
+// batch_size (>= 1; it never changes a prediction) and predict_row.
+ConfusionMatrix evaluate(const Sequential& model, const LabeledSet& test,
                          int batch_size = 64);
 
 }  // namespace deepcsi::nn

@@ -30,7 +30,7 @@ TEST(ModelBuilderTest, PaperArchitectureHas489301Parameters) {
 TEST(ModelBuilderTest, ForwardShape) {
   nn::Sequential model = build_deepcsi_model(5, 117, 10, quick_model_config());
   nn::Tensor x({3, 5, 1, 117});
-  const nn::Tensor y = model.forward(x, false);
+  const nn::Tensor y = model.forward(x);
   EXPECT_EQ(y.rank(), 2u);
   EXPECT_EQ(y.dim(0), 3u);
   EXPECT_EQ(y.dim(1), 10u);
@@ -44,7 +44,7 @@ TEST(ModelBuilderTest, HandlesNarrowInputsWithManyLayers) {
   cfg.kernel_widths = default_kernels(7);
   nn::Sequential model = build_deepcsi_model(2, 54, 10, cfg);
   nn::Tensor x({1, 2, 1, 54});
-  EXPECT_EQ(model.forward(x, false).dim(1), 10u);
+  EXPECT_EQ(model.forward(x).dim(1), 10u);
 }
 
 TEST(ModelBuilderTest, ParameterCountTrendsMatchFig7) {

@@ -1,7 +1,8 @@
 // The acceptance gates for the SharedModel / InferenceContext split:
 //
-//   1. The arena-planned const forward is bitwise identical to the legacy
-//      stateful forward, for any DEEPCSI_THREADS and any batch size.
+//   1. The arena-planned const forward — also behind nn::evaluate and
+//      int8 calibration — is bitwise identical to a walk of the train
+//      kernels, for any DEEPCSI_THREADS and any batch size.
 //   2. Steady-state InferenceContext::run (and the whole
 //      classify_batch_into serving path above it) performs ZERO heap
 //      allocations — proved by global operator new/delete replacements
@@ -25,6 +26,8 @@
 #include "dataset/features.h"
 #include "dataset/traces.h"
 #include "nn/infer.h"
+#include "nn/quantize.h"
+#include "nn/trainer.h"
 #include "phy/impairments.h"
 #include "test_util.h"
 
@@ -54,6 +57,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace deepcsi {
 namespace {
 
+using tests::BackendGuard;
 using tests::ThreadGuard;
 
 dataset::InputSpec test_spec() {
@@ -103,17 +107,29 @@ std::vector<feedback::CompressedFeedbackReport> test_reports(std::size_t n) {
   return reports;
 }
 
-TEST(InferContextTest, ConstForwardBitIdenticalToLegacyForwardAcrossThreads) {
+// The inference reference: the train kernels walked layer by layer,
+// dropout as the identity. `input_absmax` gets each layer's input absmax.
+nn::Tensor train_kernel_walk(nn::Sequential& model, nn::Tensor x,
+                             std::vector<float>* input_absmax = nullptr) {
+  for (std::size_t i = 0; i < model.num_layers(); ++i) {
+    nn::Layer& layer = model.layer(i);
+    if (input_absmax != nullptr) input_absmax->push_back(x.max_abs());
+    if (layer.name() != "alpha_dropout") x = layer.forward(x);
+  }
+  return x;
+}
+
+TEST(InferContextTest, ConstForwardBitIdenticalToTrainKernelWalkAcrossThreads) {
   ThreadGuard guard;
   const dataset::InputSpec spec = test_spec();
 
   for (const std::size_t batch : {std::size_t{1}, std::size_t{5}}) {
     const nn::Tensor x = random_input(spec, batch, 42 + batch);
 
-    // Legacy stateful forward at 1 thread is the reference.
+    // The train-kernel walk at 1 thread is the reference.
     common::set_num_threads(1);
     nn::Sequential model = build_test_model(spec);
-    const nn::Tensor reference = model.forward(x, /*training=*/false);
+    const nn::Tensor reference = train_kernel_walk(model, x);
 
     const nn::SharedModel shared(std::move(model));
     for (const int threads : {1, 4}) {
@@ -140,7 +156,7 @@ TEST(InferContextTest, SmallerBatchesReuseTheSamePlanBitIdentically) {
 
   nn::Sequential model = build_test_model(spec);
   const nn::Tensor x = random_input(spec, 3, 7);
-  const nn::Tensor reference = model.forward(x, /*training=*/false);
+  const nn::Tensor reference = train_kernel_walk(model, x);
 
   const nn::SharedModel shared(std::move(model));
   nn::InferenceContext ctx(shared, sample_shape(spec), max_batch);
@@ -241,6 +257,54 @@ TEST(InferContextTest, RacingClassifyBatchCallersAreBitIdentical) {
   const auto after = auth.classify_batch(reports);
   for (std::size_t i = 0; i < reference.size(); ++i)
     ASSERT_EQ(after[i].confidence, reference[i].confidence) << i;
+}
+
+TEST(InferContextTest, EvaluateMatchesServedVerdictsUnderEveryBackend) {
+  // nn::evaluate's confusion matrix is the one folded from the served
+  // verdicts, calibrated int8 layers included.
+  BackendGuard backend_guard;
+  const dataset::InputSpec spec = test_spec();
+  core::Authenticator auth(build_test_model(spec), spec);
+  dataset::Scale scale;
+  scale.d1_snapshots_per_trace = 7;  // 70 rows: more than one 64-row chunk
+  std::vector<dataset::Trace> traces;
+  std::vector<feedback::CompressedFeedbackReport> reports;
+  for (int m = 0; m < phy::kNumModules; ++m) {
+    traces.push_back(dataset::generate_d1_trace(m, 1, 0, scale, {}));
+    for (const dataset::Snapshot& s : traces.back().snapshots)
+      reports.push_back(s.report);
+  }
+  const nn::LabeledSet set = dataset::make_labeled_set(traces, spec);
+  ASSERT_EQ(set.size(), reports.size());
+  ASSERT_FALSE(auth.calibrate_int8(set.x).empty());
+
+  for (const simd::Backend backend : tests::available_backends()) {
+    ASSERT_TRUE(simd::set_active(backend));
+    const auto verdicts = auth.classify_batch(reports);
+    nn::ConfusionMatrix served(phy::kNumModules);
+    for (std::size_t i = 0; i < reports.size(); ++i)
+      served.add(set.y[i], verdicts[i].module_id);
+    const auto evaluated = nn::evaluate(auth.shared_model().graph(), set);
+    for (int a = 0; a < phy::kNumModules; ++a)
+      for (int p = 0; p < phy::kNumModules; ++p)
+        ASSERT_EQ(evaluated.count(a, p), served.count(a, p))
+            << simd::name(backend) << " actual " << a << " predicted " << p;
+  }
+}
+
+TEST(InferContextTest, CalibrationMatchesTrainKernelWalkBitForBit) {
+  // 130 rows run as chunks of 64, 64 and 2.
+  const dataset::InputSpec spec = test_spec();
+  nn::Sequential model = build_test_model(spec);
+  const nn::Tensor x = random_input(spec, 130, 23);
+  const auto entries = nn::calibrate_input_ranges(model, x);
+  std::vector<float> absmax;
+  train_kernel_walk(model, x, &absmax);
+  ASSERT_EQ(entries.size(), 6u);  // quick model: 3 convs + 3 denses
+  for (const nn::CalibrationEntry& e : entries) {
+    EXPECT_GT(e.input_absmax, 0.0f) << e.layer_index;
+    EXPECT_EQ(e.input_absmax, absmax[e.layer_index]) << e.layer_index;
+  }
 }
 
 TEST(InferContextTest, ConstModelApiSweep) {

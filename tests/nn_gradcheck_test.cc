@@ -30,11 +30,11 @@ Tensor random_tensor(const std::vector<std::size_t>& shape,
 // Checks d(sum(R.layer(x)))/dx and /dparams via central differences.
 void check_layer_gradients(Layer& layer, Tensor x, std::mt19937_64& rng,
                            float eps = 1e-2f, float tol = 4e-2f) {
-  const Tensor y0 = layer.forward(x, /*training=*/false);
+  const Tensor y0 = layer.forward(x);
   const Tensor r = random_tensor(y0.shape(), rng);
 
   auto loss = [&](const Tensor& input) {
-    const Tensor y = layer.forward(input, false);
+    const Tensor y = layer.forward(input);
     double s = 0.0;
     for (std::size_t i = 0; i < y.numel(); ++i)
       s += static_cast<double>(y[i]) * static_cast<double>(r[i]);
@@ -43,7 +43,7 @@ void check_layer_gradients(Layer& layer, Tensor x, std::mt19937_64& rng,
 
   // Analytic gradients.
   for (Param* p : layer.params()) p->grad.zero();
-  layer.forward(x, false);
+  layer.forward(x);
   const Tensor dx = layer.backward(r);
 
   // Input gradient.
@@ -175,12 +175,12 @@ TEST(GradCheckTest, FullModelComposition) {
   const std::vector<int> labels{0, 2};
 
   auto loss = [&]() {
-    return softmax_cross_entropy(model.forward(x, false), labels).loss;
+    return softmax_cross_entropy(model.forward(x), labels).loss;
   };
 
   model.zero_grad();
   const LossResult res =
-      softmax_cross_entropy(model.forward(x, false), labels);
+      softmax_cross_entropy(model.forward(x), labels);
   model.backward(res.grad_logits);
 
   const float eps = 1e-2f;

@@ -28,7 +28,7 @@ TEST(Conv2dTest, IdentityKernelReproducesInput) {
 
   Tensor x({1, 1, 1, 6});
   for (std::size_t i = 0; i < 6; ++i) x[i] = static_cast<float>(i + 1);
-  const Tensor y = conv.forward(x, false);
+  const Tensor y = conv.forward(x);
   ASSERT_TRUE(y.same_shape(x));
   for (std::size_t i = 0; i < 6; ++i) EXPECT_FLOAT_EQ(y[i], x[i]);
 }
@@ -42,7 +42,7 @@ TEST(Conv2dTest, SamePaddingZerosOutsideBorders) {
   conv.params()[1]->value.zero();
   Tensor x({1, 1, 1, 4});
   for (std::size_t i = 0; i < 4; ++i) x[i] = static_cast<float>(i + 1);
-  const Tensor y = conv.forward(x, false);
+  const Tensor y = conv.forward(x);
   EXPECT_FLOAT_EQ(y[0], 0.0f);  // pad
   EXPECT_FLOAT_EQ(y[1], 1.0f);
   EXPECT_FLOAT_EQ(y[3], 3.0f);
@@ -55,7 +55,7 @@ TEST(Conv2dTest, BruteForceReference) {
   Tensor x({n, ci, 1, w});
   std::normal_distribution<float> dist(0.0f, 1.0f);
   for (std::size_t i = 0; i < x.numel(); ++i) x[i] = dist(rng);
-  const Tensor y = conv.forward(x, false);
+  const Tensor y = conv.forward(x);
 
   const Tensor& wt = conv.params()[0]->value;
   const Tensor& bs = conv.params()[1]->value;
@@ -85,7 +85,7 @@ TEST(Conv2dTest, RejectsChannelMismatch) {
   std::mt19937_64 rng(1);
   Conv2d conv(2, 1, 1, 3, rng);
   Tensor x({1, 3, 1, 4});
-  EXPECT_THROW(conv.forward(x, false), std::logic_error);
+  EXPECT_THROW(conv.forward(x), std::logic_error);
 }
 
 TEST(DenseTest, MatchesMatrixVectorProduct) {
@@ -94,7 +94,7 @@ TEST(DenseTest, MatchesMatrixVectorProduct) {
   Tensor x({2, 4});
   std::normal_distribution<float> dist(0.0f, 1.0f);
   for (std::size_t i = 0; i < x.numel(); ++i) x[i] = dist(rng);
-  const Tensor y = dense.forward(x, false);
+  const Tensor y = dense.forward(x);
   const Tensor& wt = dense.params()[0]->value;
   const Tensor& bs = dense.params()[1]->value;
   for (std::size_t n = 0; n < 2; ++n)
@@ -111,7 +111,7 @@ TEST(SeluTest, KnownValues) {
   x[0] = 1.0f;
   x[1] = 0.0f;
   x[2] = -1.0f;
-  const Tensor y = selu.forward(x, false);
+  const Tensor y = selu.forward(x);
   EXPECT_NEAR(y[0], kSeluLambda, 1e-6f);
   EXPECT_NEAR(y[1], 0.0f, 1e-6f);
   EXPECT_NEAR(y[2], kSeluLambda * kSeluAlpha * (std::exp(-1.0f) - 1.0f), 1e-6f);
@@ -125,7 +125,7 @@ TEST(SeluTest, SelfNormalizingFixedPointStatistics) {
   Tensor x({100000});
   for (std::size_t i = 0; i < x.numel(); ++i) x[i] = dist(rng);
   Selu selu;
-  const Tensor y = selu.forward(x, false);
+  const Tensor y = selu.forward(x);
   double mean = y.sum() / static_cast<double>(y.numel());
   double var = 0.0;
   for (std::size_t i = 0; i < y.numel(); ++i)
@@ -140,7 +140,7 @@ TEST(MaxPoolTest, PicksMaximaAndFloorsOddTails) {
   Tensor x({1, 1, 1, 5});
   const float vals[5] = {3, 1, 4, 1, 5};
   for (std::size_t i = 0; i < 5; ++i) x[i] = vals[i];
-  const Tensor y = pool.forward(x, false);
+  const Tensor y = pool.forward(x);
   ASSERT_EQ(y.dim(3), 2u);  // element 5 (odd tail) dropped
   EXPECT_FLOAT_EQ(y[0], 3.0f);
   EXPECT_FLOAT_EQ(y[1], 4.0f);
@@ -153,7 +153,7 @@ TEST(MaxPoolTest, BackwardRoutesToArgmax) {
   x[1] = 9;
   x[2] = 7;
   x[3] = 2;
-  pool.forward(x, true);
+  pool.forward(x);
   Tensor g({1, 1, 1, 2});
   g[0] = 5;
   g[1] = 11;
@@ -168,7 +168,9 @@ TEST(AlphaDropoutTest, EvalModeIsIdentity) {
   AlphaDropout drop(0.5f, 1);
   Tensor x({100});
   for (std::size_t i = 0; i < 100; ++i) x[i] = static_cast<float>(i) * 0.1f;
-  const Tensor y = drop.forward(x, /*training=*/false);
+  Tensor y({100});
+  drop.forward_into(
+      {tensor::ConstTensorView(x), tensor::TensorView(y), InferencePlan{}});
   for (std::size_t i = 0; i < 100; ++i) EXPECT_FLOAT_EQ(y[i], x[i]);
 }
 
@@ -178,7 +180,7 @@ TEST(AlphaDropoutTest, PreservesMeanAndVarianceApproximately) {
   std::normal_distribution<float> dist(0.0f, 1.0f);
   Tensor x({200000});
   for (std::size_t i = 0; i < x.numel(); ++i) x[i] = dist(rng);
-  const Tensor y = drop.forward(x, /*training=*/true);
+  const Tensor y = drop.forward(x);
   const double mean = y.sum() / static_cast<double>(y.numel());
   double var = 0.0;
   for (std::size_t i = 0; i < y.numel(); ++i)
@@ -194,7 +196,7 @@ TEST(AlphaDropoutTest, DropsExpectedFraction) {
   AlphaDropout drop(0.5f, 3);
   Tensor x({10000});
   x.fill(1.0f);
-  const Tensor y = drop.forward(x, true);
+  const Tensor y = drop.forward(x);
   const float alpha_p = -kSeluLambda * kSeluAlpha;
   const float keep = 0.5f;
   const float a =
@@ -223,7 +225,7 @@ TEST(AttentionTest, OutputBetweenXAndTwiceX) {
   Tensor x({2, 3, 1, 8});
   for (std::size_t i = 0; i < x.numel(); ++i)
     x[i] = 0.5f + 0.01f * static_cast<float>(i % 7);
-  const Tensor y = att.forward(x, false);
+  const Tensor y = att.forward(x);
   ASSERT_TRUE(y.same_shape(x));
   for (std::size_t i = 0; i < x.numel(); ++i) {
     EXPECT_GT(y[i], x[i]);
@@ -235,7 +237,7 @@ TEST(FlattenTest, RoundTripShape) {
   Flatten flat;
   Tensor x({2, 3, 1, 4});
   for (std::size_t i = 0; i < x.numel(); ++i) x[i] = static_cast<float>(i);
-  const Tensor y = flat.forward(x, false);
+  const Tensor y = flat.forward(x);
   EXPECT_EQ(y.rank(), 2u);
   EXPECT_EQ(y.dim(1), 12u);
   const Tensor g = flat.backward(y);

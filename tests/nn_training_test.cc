@@ -56,6 +56,8 @@ TEST(TrainerTest, LearnsSeparableBlobs) {
 
   const LabeledSet test = make_blobs(40, 99);
   EXPECT_GT(evaluate(model, test).accuracy(), 0.9);
+  // A batch size below 1 would step the evaluation loop by zero rows.
+  EXPECT_THROW(evaluate(model, test, 0), std::logic_error);
 }
 
 TEST(TrainerTest, LossDecreasesOverTraining) {
@@ -224,8 +226,8 @@ TEST(SerializeTest, SaveLoadRoundTrip) {
   load_weights(m2, path);
 
   const LabeledSet test = make_blobs(20, 47);
-  const Tensor p1 = m1.forward(test.x, false);
-  const Tensor p2 = m2.forward(test.x, false);
+  const Tensor p1 = m1.forward(test.x);
+  const Tensor p2 = m2.forward(test.x);
   ASSERT_TRUE(p1.same_shape(p2));
   for (std::size_t i = 0; i < p1.numel(); ++i) EXPECT_FLOAT_EQ(p1[i], p2[i]);
   std::remove(path.c_str());

@@ -116,7 +116,7 @@ std::vector<Tensor> run_layer(LayerT& layer, const Tensor& x,
   common::set_num_threads(threads);
   for (nn::Param* p : layer.params()) p->grad.zero();
   std::vector<Tensor> out;
-  out.push_back(layer.forward(x, /*training=*/false));
+  out.push_back(layer.forward(x));
   out.push_back(layer.backward(grad_out));
   for (nn::Param* p : layer.params()) out.push_back(p->grad);
   return out;

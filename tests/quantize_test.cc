@@ -432,6 +432,8 @@ TEST(Int8ModelTest, CalibratedContextRunsInt8AndIsThreadCountInvariant) {
   const auto entries = nn::calibrate_input_ranges(graph, calib_x);
   ASSERT_FALSE(entries.empty());
   nn::apply_calibration(graph, entries);
+  // Recalibrating would measure later layers on int8 activations.
+  EXPECT_THROW(nn::calibrate_input_ranges(graph, calib_x), std::logic_error);
 
   nn::SharedModel model(std::move(graph));
   const nn::Tensor x = random_input(spec, 6, 6);

@@ -322,9 +322,9 @@ TEST(SimdSeluTest, ThreadedSeluApplyBitIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(simd::set_active(backend));
     nn::Selu selu;
     common::set_num_threads(1);
-    const nn::Tensor y1 = selu.forward(x, /*training=*/false);
+    const nn::Tensor y1 = selu.forward(x);
     common::set_num_threads(4);
-    const nn::Tensor y4 = selu.forward(x, /*training=*/false);
+    const nn::Tensor y4 = selu.forward(x);
     for (std::size_t i = 0; i < y1.numel(); ++i)
       ASSERT_EQ(y1[i], y4[i]) << simd::name(backend) << " i=" << i;
   }

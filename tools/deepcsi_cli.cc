@@ -343,7 +343,7 @@ int cmd_train(const Args& args) {
   dataset::SplitSets split{train, train};
   core::Authenticator auth = core::train_authenticator(split, spec, cfg);
 
-  const auto cm = nn::evaluate(auth.model(), train);
+  const auto cm = nn::evaluate(auth.shared_model().graph(), train);
   std::printf("train: final training-set accuracy %.1f%%\n",
               100.0 * cm.accuracy());
   auth.save(args.get("out"));
