@@ -1,25 +1,35 @@
-// Shared utilities for the per-figure experiment harnesses.
+// Shared utilities for the bench binaries.
 //
-// Every bench regenerates one table/figure of the paper: it builds the
-// corresponding dataset split, trains the DeepCSI classifier, and prints
-// the same rows/series the paper reports. DEEPCSI_SCALE=full selects
-// paper-like scale; the default quick scale is sized for a single core.
+// Every figure bench regenerates one table/figure of the paper: it builds
+// the corresponding dataset split, trains the DeepCSI classifier, and
+// prints the same rows/series the paper reports. The perf benches
+// (bench_ingest, bench_serving, bench_infer, bench_net, bench_fleet)
+// write BENCH_<name>.json rows and share the fixtures below, one copy
+// each. DEEPCSI_SCALE=full selects paper-like scale; the default quick
+// scale is sized for a single core.
 #pragma once
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "capture/monitor.h"
 #include "common/parallel.h"
+#include "core/model.h"
 #include "core/pipeline.h"
+#include "dataset/features.h"
 #include "dataset/scale.h"
 #include "dataset/splits.h"
+#include "dataset/traces.h"
 #include "nn/gemm.h"
 #include "nn/simd.h"
+#include "phy/impairments.h"
+#include "serving/service.h"
 
 namespace deepcsi::bench {
 
@@ -156,6 +166,78 @@ bool sweep_simd_backends(
                     "bool");
   std::fflush(stdout);
   return verdicts_match && int8_honest;
+}
+
+// ---------------------------------------------------- perf-bench fixtures
+
+// Batch size (and scheduler max_batch) of every perf bench:
+// DEEPCSI_BENCH_BATCH, default 64 (the value CI runs and every baseline
+// carries).
+inline std::size_t batch_from_env() {
+  std::size_t batch = 64;
+  if (const char* s = std::getenv("DEEPCSI_BENCH_BATCH")) {
+    const long v = std::atol(s);
+    if (v >= 1) batch = static_cast<std::size_t>(v);
+  }
+  return batch;
+}
+
+// Untrained classifier for the scale DEEPCSI_SCALE selects (quick model
+// at the quick stride, paper model at full). Fixed init seeds: two calls
+// classify identically.
+inline core::Authenticator scale_authenticator() {
+  dataset::InputSpec spec;
+  spec.subcarrier_stride = dataset::scale_from_env().subcarrier_stride;
+  return core::Authenticator(
+      core::build_deepcsi_model(
+          dataset::num_input_channels(spec),
+          static_cast<int>(dataset::num_input_columns(spec)),
+          phy::kNumModules, core::experiment_config_from_env().model),
+      spec);
+}
+
+// `stations` beamformees, station s transmitting the reports of module
+// s % kNumModules, interleaved frame by frame, 1 ms apart, all to one
+// beamformer.
+inline std::vector<capture::ObservedFeedback> station_stream(
+    int stations, int reports_per_station) {
+  dataset::Scale scale;
+  scale.d1_snapshots_per_trace = reports_per_station;
+  std::vector<std::vector<feedback::CompressedFeedbackReport>> per_station;
+  for (int s = 0; s < stations; ++s) {
+    const dataset::Trace trace =
+        dataset::generate_d1_trace(s % phy::kNumModules, 1, 0, scale, {});
+    std::vector<feedback::CompressedFeedbackReport> reports;
+    for (const dataset::Snapshot& snap : trace.snapshots)
+      reports.push_back(snap.report);
+    per_station.push_back(std::move(reports));
+  }
+  std::vector<capture::ObservedFeedback> stream;
+  for (int i = 0; i < reports_per_station; ++i)
+    for (int s = 0; s < stations; ++s) {
+      capture::ObservedFeedback obs;
+      obs.timestamp_s = 0.001 * static_cast<double>(stream.size());
+      obs.beamformee = capture::MacAddress::for_station(s);
+      obs.beamformer = capture::MacAddress::for_module(0);
+      obs.report = per_station[static_cast<std::size_t>(s)][
+          static_cast<std::size_t>(i)];
+      stream.push_back(std::move(obs));
+    }
+  return stream;
+}
+
+// The streaming benches' service: 1024-report queue, batches of
+// batch_from_env() flushed after at most 2 ms, 31-report verdict window,
+// one consumer lane.
+inline serving::ServiceConfig service_config(
+    common::OverflowPolicy policy = common::OverflowPolicy::kBlock) {
+  serving::ServiceConfig cfg;
+  cfg.queue_capacity = 1024;
+  cfg.policy = policy;
+  cfg.scheduler.max_batch = batch_from_env();
+  cfg.scheduler.max_latency = std::chrono::milliseconds(2);
+  cfg.sessions.window = 31;
+  return cfg;
 }
 
 inline void print_header(const std::string& figure, const std::string& what) {

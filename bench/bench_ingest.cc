@@ -15,7 +15,6 @@
 //      end-to-end path per SIMD backend (scalar vs avx2 rotation + NN
 //      kernels) at 1 thread, with verdicts checked across backends.
 #include <cstdio>
-#include <cstdlib>
 #include <random>
 #include <vector>
 
@@ -23,7 +22,6 @@
 #include "common/check.h"
 #include "capture/vht_frame.h"
 #include "common/parallel.h"
-#include "core/model.h"
 #include "core/pipeline.h"
 #include "dataset/features.h"
 #include "feedback/angles.h"
@@ -39,15 +37,6 @@
 namespace {
 
 using namespace deepcsi;
-
-std::size_t batch_from_env() {
-  std::size_t batch = 128;
-  if (const char* s = std::getenv("DEEPCSI_BENCH_BATCH")) {
-    const long v = std::atol(s);
-    if (v >= 1) batch = static_cast<std::size_t>(v);
-  }
-  return batch;
-}
 
 // Quantization-grid angle sets for a pool of distinct 3x2 V matrices —
 // exactly what dequantize hands to reconstruction during ingest.
@@ -140,19 +129,10 @@ std::vector<std::vector<std::uint8_t>> make_frame_pool(std::size_t distinct) {
 
 // Section 2: the full observer path at serving scale.
 bool run_ingest_throughput(bench::BenchReport& report) {
-  const dataset::Scale scale = dataset::scale_from_env();
-  dataset::InputSpec spec;
-  spec.subcarrier_stride = scale.subcarrier_stride;
-  const core::ModelConfig model_cfg = dataset::full_scale_selected()
-                                          ? core::paper_model_config()
-                                          : core::quick_model_config();
-  core::Authenticator auth(
-      core::build_deepcsi_model(dataset::num_input_channels(spec),
-                                static_cast<int>(dataset::num_input_columns(spec)),
-                                phy::kNumModules, model_cfg),
-      spec);
+  core::Authenticator auth = bench::scale_authenticator();
+  const dataset::InputSpec spec = auth.input_spec();
 
-  const std::size_t batch = batch_from_env();
+  const std::size_t batch = bench::batch_from_env();
   const std::vector<std::vector<std::uint8_t>> distinct = make_frame_pool(8);
   std::vector<const std::vector<std::uint8_t>*> frames(batch);
   for (std::size_t i = 0; i < batch; ++i)

@@ -1,7 +1,8 @@
 // Networked-serving benchmark: feedback reports pushed through the real
 // wire path — NetClient framing -> loopback TCP -> TcpIngestServer
-// (epoll reassembly + decode) -> AuthService lane queues — at 1, 8 and
-// 64 concurrent connections. This is the cost of the network front end
+// (epoll reassembly + decode) -> AuthService lane queues, assembled by
+// serving::Server as `deepcsi serve --listen` assembles it — at 1, 8
+// and 64 concurrent connections. This is the cost of the network front end
 // on top of the in-process serving bench (bench_serving), so the two
 // throughput numbers bracket the protocol + syscall overhead.
 //
@@ -29,14 +30,11 @@
 #include "common/check.h"
 #include "common/failpoint.h"
 #include "common/hash.h"
-#include "common/report_queue.h"
-#include "core/model.h"
-#include "dataset/features.h"
-#include "dataset/traces.h"
 #include "net/client.h"
 #include "net/ingest_server.h"
-#include "phy/impairments.h"
+#include "serving/options.h"
 #include "serving/replay.h"
+#include "serving/server.h"
 #include "serving/service.h"
 
 namespace {
@@ -46,71 +44,30 @@ using namespace deepcsi;
 constexpr int kStations = 64;
 constexpr int kReportsPerStation = 8;
 
-std::size_t max_batch_from_env() {
-  std::size_t batch = 64;
-  if (const char* s = std::getenv("DEEPCSI_BENCH_BATCH")) {
-    const long v = std::atol(s);
-    if (v >= 1) batch = static_cast<std::size_t>(v);
-  }
-  return batch;
+// `serve --listen` on an ephemeral loopback port with the bench service.
+// The accept gate never sheds (the high watermark sits above the queue
+// budget): this bench measures ingest, not the degradation ladder.
+serving::ServeOptions loopback_options() {
+  serving::ServeOptions o;
+  o.service = bench::service_config();
+  o.listen = true;
+  o.listen_port = 0;
+  o.shed_high = static_cast<int>(o.service.queue_capacity) + 1;
+  o.shed_low = o.shed_high;
+  return o;
 }
 
-// Interleaved multi-station stream, same shape as bench_serving's: station
-// s transmits the reports of module s % kNumModules, frame by frame.
-std::vector<capture::ObservedFeedback> make_stream() {
-  dataset::Scale scale;
-  scale.d1_snapshots_per_trace = kReportsPerStation;
-  std::vector<std::vector<feedback::CompressedFeedbackReport>> per_station;
-  for (int s = 0; s < kStations; ++s) {
-    const dataset::Trace trace =
-        dataset::generate_d1_trace(s % phy::kNumModules, 1, 0, scale, {});
-    std::vector<feedback::CompressedFeedbackReport> reports;
-    for (const dataset::Snapshot& snap : trace.snapshots)
-      reports.push_back(snap.report);
-    per_station.push_back(std::move(reports));
-  }
-  std::vector<capture::ObservedFeedback> stream;
-  for (int i = 0; i < kReportsPerStation; ++i)
-    for (int s = 0; s < kStations; ++s) {
-      capture::ObservedFeedback obs;
-      obs.timestamp_s = 0.001 * static_cast<double>(stream.size());
-      obs.beamformee = capture::MacAddress::for_station(s);
-      obs.beamformer = capture::MacAddress::for_module(0);
-      obs.report = per_station[static_cast<std::size_t>(s)][
-          static_cast<std::size_t>(i)];
-      stream.push_back(std::move(obs));
-    }
-  return stream;
-}
-
-serving::ServiceConfig service_config() {
-  serving::ServiceConfig cfg;
-  cfg.queue_capacity = 1024;
-  cfg.policy = common::OverflowPolicy::kBlock;
-  cfg.scheduler.max_batch = max_batch_from_env();
-  cfg.scheduler.max_latency = std::chrono::milliseconds(2);
-  cfg.sessions.window = 31;
-  return cfg;
-}
-
-// Runs one connection-count configuration: start the service + ingest
-// server, stream the whole report set from `conns` client threads, wait
-// for every report to be accepted, drain. Fills `verdicts` with the
-// final per-station snapshot (used for the single-connection parity
-// check) and returns the measured ingest rate in reports/s.
-double run_config(const core::Authenticator& auth,
-                  const std::vector<capture::ObservedFeedback>& stream,
+// Runs one connection-count configuration: start a Server, stream the
+// whole report set from `conns` client threads, wait for every report to
+// be accepted, stop (drains). Fills `verdicts` with the final per-station
+// snapshot (used for the single-connection parity check) and returns the
+// measured ingest rate in reports/s.
+double run_config(const std::vector<capture::ObservedFeedback>& stream,
                   int conns, bench::BenchReport& report,
                   std::vector<serving::StationVerdict>& verdicts) {
-  serving::AuthService service(auth, service_config());
-  service.start();
-  net::TcpIngestServer ingest(
-      net::IngestConfig{},
-      [&service](capture::ObservedFeedback& obs) {
-        return service.try_submit(obs);
-      });
-  ingest.start();
-  const std::uint16_t port = ingest.port();
+  serving::Server server(loopback_options(), bench::scale_authenticator());
+  DEEPCSI_CHECK(server.start().ok());
+  const std::uint16_t port = server.ingest_port();
 
   bench::Stopwatch timer;
   std::vector<std::thread> senders;
@@ -132,7 +89,10 @@ double run_config(const core::Authenticator& auth,
   // Clients have closed, but the server may still hold buffered frames;
   // the measurement ends when the last report has been accepted into a
   // lane queue (bounded wait so a wedged server fails loudly, not
-  // silently forever).
+  // silently forever). The poll reads the ingest counters alone: a full
+  // Server::stats() inside the timed window would take every queue,
+  // shard and stats lock and sort the latency ring each millisecond.
+  const net::TcpIngestServer& ingest = *server.ingest();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
   while (ingest.stats().reports_submitted < stream.size()) {
@@ -146,14 +106,13 @@ double run_config(const core::Authenticator& auth,
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   const double elapsed = timer.seconds();
-  ingest.stop();
-  service.drain();
+  server.stop();
 
-  const net::IngestStats in = ingest.stats();
-  const serving::StatsSnapshot stats = service.stats();
+  const serving::StatsSnapshot stats = server.stats();
+  const serving::StatsSnapshot::Ingest& in = stats.ingest;
   DEEPCSI_CHECK(in.reports_dropped == 0);
   DEEPCSI_CHECK(stats.reports_classified == stream.size());
-  verdicts = service.sessions().snapshot();
+  verdicts = server.service().sessions().snapshot();
 
   const double rate =
       elapsed > 0.0 ? static_cast<double>(stream.size()) / elapsed : 0.0;
@@ -163,7 +122,7 @@ double run_config(const core::Authenticator& auth,
               static_cast<unsigned long long>(in.pauses));
   const std::vector<std::pair<std::string, double>> attrs = {
       {"connections", static_cast<double>(conns)},
-      {"max_batch", static_cast<double>(max_batch_from_env())}};
+      {"max_batch", static_cast<double>(bench::batch_from_env())}};
   report.add_metric("net_ingest_throughput", rate, "reports/s", attrs);
   report.add_metric("net_batch_latency_p99_ms", stats.batch_latency_p99_ms,
                     "ms", attrs);
@@ -178,7 +137,7 @@ bool verdicts_match_offline(const core::Authenticator& auth,
                             const std::vector<capture::ObservedFeedback>& stream,
                             const std::vector<serving::StationVerdict>& online,
                             bench::BenchReport& report) {
-  serving::AuthService service(auth, service_config());
+  serving::AuthService service(auth, bench::service_config());
   serving::replay_observed(service, stream, serving::ReplayConfig{});
   const std::vector<serving::StationVerdict> offline =
       service.sessions().snapshot();
@@ -221,34 +180,23 @@ int main() {
                       "epoll ingest -> lane queues");
   bench::BenchReport report("net");
 
-  dataset::InputSpec spec;
-  spec.subcarrier_stride = dataset::scale_from_env().subcarrier_stride;
-  const core::ModelConfig model_cfg = dataset::full_scale_selected()
-                                          ? core::paper_model_config()
-                                          : core::quick_model_config();
-  const core::Authenticator auth(
-      core::build_deepcsi_model(dataset::num_input_channels(spec),
-                                static_cast<int>(dataset::num_input_columns(spec)),
-                                phy::kNumModules, model_cfg),
-      spec);
-
-  const auto stream = make_stream();
+  const auto stream = bench::station_stream(kStations, kReportsPerStation);
   std::printf("loopback ingest (%zu reports = %d stations x %d, batch<=%zu, "
               "queue=1024, block policy)\n",
               stream.size(), kStations, kReportsPerStation,
-              max_batch_from_env());
+              bench::batch_from_env());
   std::printf("%12s %14s %10s %10s %8s\n", "connections", "ingested/s",
               "p99 ms", "frames", "pauses");
   std::vector<serving::StationVerdict> single_conn_verdicts;
   for (const int conns : {1, 8, 64}) {
     std::vector<serving::StationVerdict> verdicts;
-    run_config(auth, stream, conns, report, verdicts);
+    run_config(stream, conns, report, verdicts);
     if (conns == 1) single_conn_verdicts = std::move(verdicts);
   }
   std::printf("\n");
 
-  const bool parity =
-      verdicts_match_offline(auth, stream, single_conn_verdicts, report);
+  const bool parity = verdicts_match_offline(
+      bench::scale_authenticator(), stream, single_conn_verdicts, report);
 
   measure_failpoint_overhead(report);
 

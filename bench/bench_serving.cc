@@ -10,7 +10,6 @@
 //   - verdicts_bit_identical: single-producer determinism across
 //     DEEPCSI_THREADS in {1, 4} (also rides the exit code)
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,67 +18,13 @@
 #include "capture/monitor.h"
 #include "common/parallel.h"
 #include "common/report_queue.h"
-#include "core/model.h"
 #include "core/pipeline.h"
-#include "dataset/features.h"
-#include "dataset/traces.h"
-#include "phy/impairments.h"
 #include "serving/replay.h"
 #include "serving/service.h"
 
 namespace {
 
 using namespace deepcsi;
-
-std::size_t max_batch_from_env() {
-  std::size_t batch = 64;
-  if (const char* s = std::getenv("DEEPCSI_BENCH_BATCH")) {
-    const long v = std::atol(s);
-    if (v >= 1) batch = static_cast<std::size_t>(v);
-  }
-  return batch;
-}
-
-// A multi-station base sequence: four stations, each emitting the reports
-// of a different module, interleaved frame by frame. replay loops this to
-// reach the measured report count.
-std::vector<capture::ObservedFeedback> make_stream(int stations,
-                                                   int reports_per_station) {
-  dataset::Scale scale;
-  scale.d1_snapshots_per_trace = reports_per_station;
-  std::vector<std::vector<feedback::CompressedFeedbackReport>> per_station;
-  for (int s = 0; s < stations; ++s) {
-    const dataset::Trace trace =
-        dataset::generate_d1_trace(s % phy::kNumModules, 1, 0, scale, {});
-    std::vector<feedback::CompressedFeedbackReport> reports;
-    for (const dataset::Snapshot& snap : trace.snapshots)
-      reports.push_back(snap.report);
-    per_station.push_back(std::move(reports));
-  }
-  std::vector<capture::ObservedFeedback> stream;
-  for (int i = 0; i < reports_per_station; ++i)
-    for (int s = 0; s < stations; ++s) {
-      capture::ObservedFeedback obs;
-      obs.timestamp_s = 0.001 * static_cast<double>(stream.size());
-      obs.beamformee = capture::MacAddress::for_station(s);
-      obs.beamformer = capture::MacAddress::for_module(0);
-      obs.report = per_station[static_cast<std::size_t>(s)][
-          static_cast<std::size_t>(i)];
-      stream.push_back(std::move(obs));
-    }
-  return stream;
-}
-
-serving::ServiceConfig service_config(common::OverflowPolicy policy,
-                                      std::size_t max_batch) {
-  serving::ServiceConfig cfg;
-  cfg.queue_capacity = 1024;
-  cfg.policy = policy;
-  cfg.scheduler.max_batch = max_batch;
-  cfg.scheduler.max_latency = std::chrono::milliseconds(2);
-  cfg.sessions.window = 31;
-  return cfg;
-}
 
 const char* policy_name(common::OverflowPolicy policy) {
   switch (policy) {
@@ -93,7 +38,7 @@ const char* policy_name(common::OverflowPolicy policy) {
 void run_throughput_grid(const core::Authenticator& auth,
                          const std::vector<capture::ObservedFeedback>& stream,
                          int loops, bench::BenchReport& report) {
-  const std::size_t max_batch = max_batch_from_env();
+  const std::size_t max_batch = bench::batch_from_env();
   std::printf("streaming service (%zu reports/loop x %d loops, batch<=%zu, "
               "latency<=2ms, queue=1024)\n",
               stream.size(), loops, max_batch);
@@ -102,7 +47,7 @@ void run_throughput_grid(const core::Authenticator& auth,
   for (const common::OverflowPolicy policy :
        {common::OverflowPolicy::kBlock, common::OverflowPolicy::kDropOldest}) {
     for (const int producers : {1, 2, 4}) {
-      serving::AuthService service(auth, service_config(policy, max_batch));
+      serving::AuthService service(auth, bench::service_config(policy));
       serving::ReplayConfig replay;
       replay.loops = loops;
       replay.producers = producers;
@@ -138,7 +83,7 @@ void run_throughput_grid(const core::Authenticator& auth,
 void run_consumer_scaling(const core::Authenticator& auth,
                           const std::vector<capture::ObservedFeedback>& stream,
                           int loops, bench::BenchReport& report) {
-  const std::size_t max_batch = max_batch_from_env();
+  const std::size_t max_batch = bench::batch_from_env();
   const int original_threads = common::num_threads();
   common::set_num_threads(1);
   std::printf("consumer-lane scaling (2 producers, per-lane-serial "
@@ -148,8 +93,7 @@ void run_consumer_scaling(const core::Authenticator& auth,
   double single_rps = 0.0, last_rps = 0.0;
   for (const std::size_t consumers : {std::size_t{1}, std::size_t{2},
                                       std::size_t{4}}) {
-    serving::ServiceConfig cfg =
-        service_config(common::OverflowPolicy::kBlock, max_batch);
+    serving::ServiceConfig cfg = bench::service_config();
     cfg.consumers = consumers;
     serving::AuthService service(auth, cfg);
     serving::ReplayConfig replay;
@@ -187,9 +131,7 @@ bool run_determinism_check(const core::Authenticator& auth,
   bool identical = true;
   for (const int threads : {1, 4}) {
     common::set_num_threads(threads);
-    serving::AuthService service(
-        auth, service_config(common::OverflowPolicy::kBlock,
-                             max_batch_from_env()));
+    serving::AuthService service(auth, bench::service_config());
     serving::ReplayConfig replay;  // single producer, one loop
     serving::replay_observed(service, stream, replay);
     const auto verdicts = service.sessions().snapshot();
@@ -221,23 +163,15 @@ int main() {
                       "batching scheduler + classify_batch");
   bench::BenchReport report("serving");
 
-  dataset::InputSpec spec;
-  spec.subcarrier_stride = dataset::scale_from_env().subcarrier_stride;
-  const core::ModelConfig model_cfg = dataset::full_scale_selected()
-                                          ? core::paper_model_config()
-                                          : core::quick_model_config();
-  const core::Authenticator auth(
-      core::build_deepcsi_model(dataset::num_input_channels(spec),
-                                static_cast<int>(dataset::num_input_columns(spec)),
-                                phy::kNumModules, model_cfg),
-      spec);
+  const core::Authenticator auth = bench::scale_authenticator();
 
   // 4 stations x 8 reports = 32 reports per loop; 16 loops = 512 reports
   // measured per configuration (cheap enough for the CI smoke step, long
-  // enough that scheduler batching dominates startup).
-  const auto stream = make_stream(4, 8);
+  // enough that scheduler batching dominates startup). The lane rows use
+  // 8 stations so four lanes all get work.
+  const auto stream = bench::station_stream(4, 8);
   run_throughput_grid(auth, stream, 16, report);
-  run_consumer_scaling(auth, make_stream(8, 8), 16, report);
+  run_consumer_scaling(auth, bench::station_stream(8, 8), 16, report);
   const bool identical = run_determinism_check(auth, stream, report);
 
   report.write_json();

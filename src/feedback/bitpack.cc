@@ -11,7 +11,6 @@ void BitWriter::write(std::uint32_t value, int bits) {
   DEEPCSI_CHECK_MSG(value < (1u << bits), "value does not fit bit width");
   acc_ |= value << acc_bits_;
   acc_bits_ += bits;
-  bits_written_ += static_cast<std::size_t>(bits);
   while (acc_bits_ >= 8) {
     bytes_.push_back(static_cast<std::uint8_t>(acc_ & 0xFF));
     acc_ >>= 8;

@@ -20,20 +20,17 @@ class BitWriter {
   void write(std::uint32_t value, int bits);
   // Flushes the partial byte (zero-padded) and returns the buffer.
   std::vector<std::uint8_t> finish();
-  std::size_t bits_written() const { return bits_written_; }
 
  private:
   std::vector<std::uint8_t> bytes_;
   std::uint32_t acc_ = 0;
   int acc_bits_ = 0;
-  std::size_t bits_written_ = 0;
 };
 
 class BitReader {
  public:
   explicit BitReader(const std::vector<std::uint8_t>& bytes) : bytes_(bytes) {}
   std::uint32_t read(int bits);  // throws std::out_of_range past the end
-  std::size_t bits_read() const { return bits_read_; }
 
  private:
   const std::vector<std::uint8_t>& bytes_;

@@ -24,8 +24,6 @@ class AlphaDropout final : public Layer {
   void forward_into(const InferArgs& args) const override;
   std::string name() const override { return "alpha_dropout"; }
 
-  float drop_rate() const { return drop_rate_; }
-
  private:
   float drop_rate_;
   float a_, b_;

@@ -141,9 +141,4 @@ void ContextPool::release(InferenceContext* ctx) {
   free_.push_back(ctx);
 }
 
-std::size_t ContextPool::contexts_built() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return all_.size();
-}
-
 }  // namespace deepcsi::nn

@@ -86,7 +86,6 @@ class InferenceContext {
   float* input() { return input_; }
   std::size_t sample_numel() const { return in_shape_.sample_numel(); }
   std::size_t max_batch() const { return max_batch_; }
-  std::size_t arena_floats() const { return arena_.size(); }
 
   // Sees (layer index, input [n, ...]) before each step runs; a Selu
   // fused into its Conv2d is not a step.
@@ -145,7 +144,6 @@ class ContextPool {
   // mutex-guarded freelist pop/push — no heap traffic.
   Lease acquire();
 
-  std::size_t contexts_built() const;
   std::size_t max_batch() const { return max_batch_; }
 
  private:
@@ -155,7 +153,7 @@ class ContextPool {
   SharedModel model_;  // shares the graph, keeps it alive
   tensor::StaticShape sample_shape_;
   std::size_t max_batch_;
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::vector<std::unique_ptr<InferenceContext>> all_;
   std::vector<InferenceContext*> free_;
 };

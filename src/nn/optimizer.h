@@ -20,9 +20,7 @@ class Adam {
   Adam(std::vector<Param*> params, Config cfg);
 
   void step();
-  void set_lr(float lr) { cfg_.lr = lr; }
   float lr() const { return cfg_.lr; }
-  long step_count() const { return t_; }
 
  private:
   std::vector<Param*> params_;

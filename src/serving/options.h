@@ -1,9 +1,11 @@
 // ServeOptions: the single parse-and-validate path for every serving
-// knob. The CLI's `serve` and `fleet` verbs, the benches and the tests
-// all build their ServiceConfig through here, so "what does --queue
-// accept" has exactly one answer and a malformed value fails the same
-// way everywhere (error string out, caller prints usage and exits 2 —
-// the DEEPCSI_SIMD / DEEPCSI_FAILPOINTS convention).
+// knob. The CLI's `serve` and `fleet` verbs parse their flags here, so
+// "what does --queue accept" has exactly one answer and a malformed value
+// fails the same way everywhere (error string out, caller prints usage
+// and exits 2 — the DEEPCSI_SIMD / DEEPCSI_FAILPOINTS convention).
+// serving::Server assembles the serve process from a ServeOptions; the
+// serving tests (tests/serve_fixture.h) and bench_net build their
+// Server from one too.
 //
 // This replaced the knob sprawl where cmd_serve validated nine flags
 // inline, cmd_serve_listen validated six more, and any test wanting the

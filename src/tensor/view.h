@@ -70,12 +70,6 @@ struct StaticShape {
     return s;
   }
 
-  // Allocates — plan/build/test convenience only, never the hot path.
-  std::vector<std::size_t> to_vector() const {
-    return std::vector<std::size_t>(dims.begin(),
-                                    dims.begin() + static_cast<long>(rank));
-  }
-
   bool operator==(const StaticShape&) const = default;
 };
 

@@ -76,14 +76,16 @@ TEST(PipelineBatchTest, BatchBitIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(simd::set_active(backend));
     common::set_num_threads(1);
     const auto r1 = auth.classify_batch(reports);
-    common::set_num_threads(4);
-    const auto r4 = auth.classify_batch(reports);
-    ASSERT_EQ(r1.size(), r4.size());
-    for (std::size_t i = 0; i < r1.size(); ++i) {
-      EXPECT_EQ(r1[i].module_id, r4[i].module_id)
-          << simd::name(backend) << " " << i;
-      EXPECT_EQ(r1[i].confidence, r4[i].confidence)
-          << simd::name(backend) << " " << i;
+    for (const int threads : {2, 4}) {
+      common::set_num_threads(threads);
+      const auto rn = auth.classify_batch(reports);
+      ASSERT_EQ(r1.size(), rn.size());
+      for (std::size_t i = 0; i < r1.size(); ++i) {
+        EXPECT_EQ(r1[i].module_id, rn[i].module_id)
+            << simd::name(backend) << " threads " << threads << " " << i;
+        EXPECT_EQ(r1[i].confidence, rn[i].confidence)
+            << simd::name(backend) << " threads " << threads << " " << i;
+      }
     }
   }
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-r"""Bench-regression gate: diff fresh BENCH_*.json against checked-in baselines.
+"""Bench-regression gate: diff fresh BENCH_*.json against checked-in baselines.
 
 Every bench binary writes a BENCH_<name>.json (see bench/bench_common.h)
 with throughput metrics (unit ending in "/s"), latency metrics ("ms") and
@@ -21,19 +21,9 @@ Metrics are matched by (metric name + numeric attributes), so e.g.
 ingest_throughput@threads=4 only ever compares against itself.
 
 Refreshing baselines (after an intentional perf change, on a machine of
-the same class that produced the old ones) — exactly as CI runs them:
-
-    cd build
-    DEEPCSI_THREADS=4 DEEPCSI_BENCH_BATCH=64 ./bench_micro_pipeline \
-        --benchmark_filter='BM_CnnInferenceQuickModel|BM_FeatureAssembly' \
-        --benchmark_min_time=0.01
-    DEEPCSI_THREADS=4 DEEPCSI_BENCH_BATCH=64 ./bench_ingest
-    DEEPCSI_THREADS=4 DEEPCSI_BENCH_BATCH=64 ./bench_serving
-    DEEPCSI_THREADS=4 DEEPCSI_BENCH_BATCH=64 ./bench_infer
-    DEEPCSI_THREADS=4 DEEPCSI_BENCH_BATCH=64 ./bench_net
-    DEEPCSI_THREADS=4 ./bench_fleet
-    python3 ../tools/bench_compare.py --fresh-dir . --update
-    git add ../bench/baselines && git commit
+the same class that produced the old ones): run the benches exactly as
+CI does, then --update. The recipe lives in README.md, "Bench-regression
+gate".
 
 Usage:
     bench_compare.py [--baseline-dir bench/baselines] [--fresh-dir build]
