@@ -14,6 +14,7 @@
 //      checked bit-identical against the 1-thread run; plus the same
 //      end-to-end path per SIMD backend (scalar vs avx2 rotation + NN
 //      kernels) at 1 thread, with verdicts checked across backends.
+#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <vector>
@@ -55,9 +56,10 @@ std::vector<feedback::BfmAngles> make_angle_pool(std::size_t count) {
   return pool;
 }
 
-// Runs fn over the pool until ~0.25 s has elapsed; returns calls/s.
+// Runs fn over the pool until `window_s` has elapsed; returns calls/s.
 template <typename Fn>
-double rate_of(const std::vector<feedback::BfmAngles>& pool, Fn&& fn) {
+double rate_of(const std::vector<feedback::BfmAngles>& pool, double window_s,
+               Fn&& fn) {
   bench::Stopwatch timer;
   std::size_t calls = 0;
   double elapsed = 0.0;
@@ -65,24 +67,40 @@ double rate_of(const std::vector<feedback::BfmAngles>& pool, Fn&& fn) {
     for (const feedback::BfmAngles& a : pool) fn(a);
     calls += pool.size();
     elapsed = timer.seconds();
-  } while (elapsed < 0.25);
+  } while (elapsed < window_s);
   return static_cast<double>(calls) / elapsed;
 }
 
-// Section 1: per-subcarrier Vtilde reconstruction, old path vs new.
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+// Section 1: per-subcarrier Vtilde reconstruction, old path vs new. The
+// two loops alternate over short rounds and the speedup is the median
+// per-round ratio, so a steal burst on a shared host lands on both sides
+// of one round (or skews one round of many), never on one side alone.
 double run_reconstruct_comparison(bench::BenchReport& report) {
+  constexpr int kRounds = 9;
+  constexpr double kWindowS = 0.03;
   const std::vector<feedback::BfmAngles> pool = make_angle_pool(64);
 
   double sink = 0.0;
-  const double ref_rate = rate_of(pool, [&](const feedback::BfmAngles& a) {
-    sink += feedback::reconstruct_v_reference(a).frobenius_norm();
-  });
   linalg::CMat scratch;
-  const double inplace_rate = rate_of(pool, [&](const feedback::BfmAngles& a) {
-    feedback::reconstruct_v_into(a, &scratch);
-    sink += scratch(0, 0).real();
-  });
-  const double speedup = inplace_rate / ref_rate;
+  std::vector<double> ref(kRounds), inplace(kRounds), ratio(kRounds);
+  for (int r = 0; r < kRounds; ++r) {
+    ref[r] = rate_of(pool, kWindowS, [&](const feedback::BfmAngles& a) {
+      sink += feedback::reconstruct_v_reference(a).frobenius_norm();
+    });
+    inplace[r] = rate_of(pool, kWindowS, [&](const feedback::BfmAngles& a) {
+      feedback::reconstruct_v_into(a, &scratch);
+      sink += scratch(0, 0).real();
+    });
+    ratio[r] = inplace[r] / ref[r];
+  }
+  const double ref_rate = median_of(ref);
+  const double inplace_rate = median_of(inplace);
+  const double speedup = median_of(ratio);
 
   std::printf("reconstruct_v per sub-carrier (M=3, NSS=2)\n");
   std::printf("%-28s %16.0f subcarriers/s\n", "matrix-product reference",

@@ -226,13 +226,6 @@ void Authenticator::classify_batch_into(
   }
 }
 
-bool Authenticator::authenticate(
-    const feedback::CompressedFeedbackReport& report, int claimed_module,
-    double min_confidence) const {
-  const Prediction p = classify(report);
-  return p.module_id == claimed_module && p.confidence >= min_confidence;
-}
-
 void Authenticator::save(const std::string& path) const {
   nn::save_weights(pin_epoch()->model.graph(), path);
 }

@@ -86,7 +86,7 @@ ModelLoadStatus load_model_artifact(
 // The network lives in an immutable SharedModel; every classify call
 // leases a per-thread InferenceContext (pre-planned activation arena)
 // from an internal pool, so ANY number of threads may call classify /
-// classify_batch / authenticate concurrently on one shared Authenticator.
+// classify_batch concurrently on one shared Authenticator.
 // Predictions are bitwise identical whatever the caller count, batch
 // composition or DEEPCSI_THREADS.
 //
@@ -129,11 +129,6 @@ class Authenticator {
   void classify_batch_into(
       std::span<const feedback::CompressedFeedbackReport> reports,
       std::span<Prediction> out) const;
-
-  // PHY-layer authentication: does the report's fingerprint match the
-  // claimed module id with at least `min_confidence`?
-  bool authenticate(const feedback::CompressedFeedbackReport& report,
-                    int claimed_module, double min_confidence = 0.5) const;
 
   const dataset::InputSpec& input_spec() const { return spec_; }
   // Current epoch's model. The reference is only stable while no swap

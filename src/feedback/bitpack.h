@@ -59,11 +59,10 @@ CompressedFeedbackReport unpack_report(const std::vector<std::uint8_t>& bytes,
                                        const std::vector<int>& subcarriers,
                                        const QuantConfig& cfg);
 
-// End-to-end helpers used by dataset generation and the observer:
-// decompose+quantize each V_k into a report / rebuild Vtilde_k from one.
+// End-to-end helper used by dataset generation and the observer:
+// decompose+quantize each V_k into a report.
 CompressedFeedbackReport compress_v_series(const std::vector<CMat>& v_per_k,
                                            const std::vector<int>& subcarriers,
                                            const QuantConfig& cfg);
-std::vector<CMat> reconstruct_v_series(const CompressedFeedbackReport& report);
 
 }  // namespace deepcsi::feedback

@@ -132,11 +132,10 @@ TEST(RunClassificationTest, LearnsSyntheticTask) {
   EXPECT_GT(result.trainable_params, 0u);
 }
 
-TEST(AuthenticatorTest, ClassifyAndAuthenticateOnReports) {
+TEST(AuthenticatorTest, ClassifyOnReports) {
   // Train a tiny model on synthetic data shaped like real feature specs,
   // then check the Authenticator plumbing: classify returns a valid id
-  // with a sane confidence, authenticate accepts its own prediction and
-  // rejects contradictions at high confidence thresholds.
+  // with a sane confidence.
   dataset::Scale tiny{3, 3, 8};
   dataset::GeneratorConfig gen;
   dataset::InputSpec spec;
@@ -166,12 +165,6 @@ TEST(AuthenticatorTest, ClassifyAndAuthenticateOnReports) {
   EXPECT_LT(pred.module_id, 10);
   EXPECT_GT(pred.confidence, 0.0);
   EXPECT_LE(pred.confidence, 1.0);
-
-  // authenticate agrees with classify.
-  EXPECT_TRUE(auth.authenticate(traces[0].snapshots[0].report, pred.module_id,
-                                pred.confidence * 0.9));
-  EXPECT_FALSE(auth.authenticate(traces[0].snapshots[0].report,
-                                 (pred.module_id + 5) % 10, 0.0));
 }
 
 TEST(AuthenticatorTest, SaveLoadPreservesPredictions) {

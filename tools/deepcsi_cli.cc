@@ -185,9 +185,9 @@ int usage() {
   return 2;
 }
 
-// TCP ports live in [1, 65535]; anything else (including 0 — CI needs a
-// port it can hand to the driver, so no ephemeral binds here) is a usage
-// error like a malformed integer: diagnostic + exit 2.
+// TCP ports live in [1, 65535]; anything else (including 0 — the drills
+// start serve and drive on a fixed port pair, so no ephemeral binds here)
+// is a usage error like a malformed integer: diagnostic + exit 2.
 std::uint16_t get_port(const Args& args, const std::string& key) {
   const int port = args.get_int(key, 0);
   if (port < 1 || port > 65535) {
@@ -736,6 +736,7 @@ int cmd_drive(const Args& args) {
   std::printf("drive: sent %zu reports over %d connection(s), %llu "
               "reconnect(s)\n",
               sent, conns, static_cast<unsigned long long>(reconnects));
+  std::fflush(stdout);  // drills wait for this line while drive runs on
   if (!sub) return 0;
 
   // Collect the verdict stream until the server flushes and closes (the
@@ -815,8 +816,8 @@ int cmd_drive(const Args& args) {
   // and fold predictions into the same rolling-window majority (lowest
   // module id wins ties — SessionTable's documented rule). Any diff means
   // the wire path changed a bit somewhere: encode, reassembly, decode, or
-  // ordering. Requires a lossless run (policy=block), which is how the CI
-  // gate invokes it.
+  // ordering. Requires a lossless run (policy=block), which is how the
+  // drills invoke it.
   const core::Authenticator auth = load_authenticator(args);
   struct RollingRef {
     std::deque<int> window;
