@@ -1,20 +1,18 @@
-// Shared utilities for the bench binaries.
-//
-// Every figure bench regenerates one table/figure of the paper: it builds
-// the corresponding dataset split, trains the DeepCSI classifier, and
-// prints the same rows/series the paper reports. The perf benches
-// (bench_ingest, bench_serving, bench_infer, bench_net, bench_fleet)
-// write BENCH_<name>.json rows and share the fixtures below, one copy
-// each. DEEPCSI_SCALE=full selects paper-like scale; the default quick
-// scale is sized for a single core.
+// Shared utilities for the perf benches (bench_ingest, bench_serving,
+// bench_infer, bench_net, bench_fleet): each writes BENCH_<name>.json rows
+// and shares the fixtures below, one copy each. DEEPCSI_SCALE=full selects
+// the paper model; the default is quick scale. The paper's figures live in
+// bench_paper.cc.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -48,11 +46,19 @@ class Stopwatch {
 
 // Machine-readable companion to the printed rows: collects metrics and
 // writes BENCH_<name>.json next to the binary, one object per metric with
-// numeric attributes (thread count, batch size, ...). This seeds the
-// repo's perf trajectory — CI archives the file per commit.
+// numeric attributes (thread count, batch size, ...), plus the host that
+// measured them. This seeds the repo's perf trajectory — CI archives the
+// file per commit. Constructing one prints the bench's banner.
 class BenchReport {
  public:
-  explicit BenchReport(std::string name) : name_(std::move(name)) {}
+  BenchReport(std::string name, const char* what) : name_(std::move(name)) {
+    std::printf("==============================================================\n");
+    std::printf("DeepCSI reproduction — %s\n%s\n", name_.c_str(), what);
+    std::printf("scale: %s\n",
+                dataset::full_scale_selected() ? "full (paper-like)" : "quick");
+    std::printf("==============================================================\n");
+    std::fflush(stdout);
+  }
 
   void add_metric(
       const std::string& metric, double value, const std::string& unit,
@@ -67,6 +73,7 @@ class BenchReport {
        << "  \"scale\": \""
        << (dataset::full_scale_selected() ? "full" : "quick") << "\",\n"
        << "  \"default_threads\": " << common::num_threads() << ",\n"
+       << "  \"host\": " << host_json() << ",\n"
        << "  \"metrics\": [\n";
     for (std::size_t i = 0; i < metrics_.size(); ++i) {
       const Metric& m = metrics_[i];
@@ -90,6 +97,31 @@ class BenchReport {
   }
 
  private:
+  // nproc, the CPU model and the ISA flags the kernel backends care about,
+  // from /proc/cpuinfo (model "" and every flag false where it is absent).
+  static std::string host_json() {
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line, model, flags;
+    while (std::getline(cpuinfo, line) && (model.empty() || flags.empty())) {
+      const std::size_t colon = line.find(':');
+      if (colon == std::string::npos) continue;
+      const std::string value = line.substr(std::min(colon + 2, line.size()));
+      if (model.empty() && line.starts_with("model name")) model = value;
+      if (flags.empty() && line.starts_with("flags")) flags = " " + value + " ";
+    }
+    std::erase_if(model, [](char c) { return c == '"' || c == '\\'; });
+    std::ostringstream os;
+    os << "{\"nproc\": " << std::thread::hardware_concurrency()
+       << ", \"cpu\": \"" << model << "\"";
+    for (const char* flag : {"avx2", "fma", "avx512_vnni", "amx_int8"})
+      os << ", \"" << flag << "\": "
+         << (flags.find(std::string(" ") + flag + " ") != std::string::npos
+                 ? "true"
+                 : "false");
+    os << "}";
+    return os.str();
+  }
+
   struct Metric {
     std::string name, unit;
     double value;
@@ -238,45 +270,6 @@ inline serving::ServiceConfig service_config(
   cfg.scheduler.max_latency = std::chrono::milliseconds(2);
   cfg.sessions.window = 31;
   return cfg;
-}
-
-inline void print_header(const std::string& figure, const std::string& what) {
-  std::printf("==============================================================\n");
-  std::printf("DeepCSI reproduction — %s\n", figure.c_str());
-  std::printf("%s\n", what.c_str());
-  std::printf("scale: %s\n",
-              dataset::full_scale_selected() ? "full (paper-like)" : "quick");
-  std::printf("==============================================================\n");
-  std::fflush(stdout);
-}
-
-inline const char* set_name(dataset::SetId id) {
-  switch (id) {
-    case dataset::SetId::kS1: return "S1";
-    case dataset::SetId::kS2: return "S2";
-    case dataset::SetId::kS3: return "S3";
-    case dataset::SetId::kS4: return "S4";
-    case dataset::SetId::kS5: return "S5";
-    case dataset::SetId::kS6: return "S6";
-  }
-  return "?";
-}
-
-// Train + evaluate one configuration and report the result row.
-inline core::ExperimentResult run_and_report(
-    const std::string& label, const dataset::SplitSets& split,
-    const core::ExperimentConfig& cfg, bool print_confusion = false) {
-  Stopwatch timer;
-  const core::ExperimentResult result = core::run_classification(split, cfg);
-  std::printf("%-36s  accuracy %6.2f%%  (val %5.1f%%, train n=%zu, test n=%zu, %.1fs)\n",
-              label.c_str(), 100.0 * result.accuracy,
-              100.0 * result.best_val_accuracy, split.train.size(),
-              split.test.size(), timer.seconds());
-  if (print_confusion) {
-    std::printf("%s", result.confusion.to_string().c_str());
-  }
-  std::fflush(stdout);
-  return result;
 }
 
 }  // namespace deepcsi::bench

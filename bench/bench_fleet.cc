@@ -332,10 +332,9 @@ bool run_int8_parity(const core::Authenticator& auth,
 }  // namespace
 
 int main() {
-  bench::print_header("fleet",
-                      "bounded-session fleet soak: 10^5..10^6 distinct "
-                      "beamformees through the full serving path");
-  bench::BenchReport report("fleet");
+  bench::BenchReport report("fleet",
+                            "bounded-session fleet soak: 10^5..10^6 distinct "
+                            "beamformees through the full serving path");
 
   const core::Authenticator auth = make_authenticator();
   const bool soak_ok = run_soak(auth, report);

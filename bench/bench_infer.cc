@@ -69,10 +69,9 @@ double measure_reports_per_second(std::size_t reports_per_rep, int reps,
 }  // namespace
 
 int main() {
-  bench::print_header("infer",
-                      "SharedModel/InferenceContext const forward per "
-                      "backend and the int8 gate");
-  bench::BenchReport report("infer");
+  bench::BenchReport report("infer",
+                            "SharedModel/InferenceContext const forward per "
+                            "backend and the int8 gate");
 
   core::Authenticator auth = bench::scale_authenticator();
   const dataset::InputSpec spec = auth.input_spec();

@@ -306,10 +306,9 @@ bool run_ingest_throughput(bench::BenchReport& report) {
 }  // namespace
 
 int main() {
-  bench::print_header("ingest",
-                      "feedback-report ingest: rotation kernels + end-to-end "
-                      "serving throughput");
-  bench::BenchReport report("ingest");
+  bench::BenchReport report("ingest",
+                            "feedback-report ingest: rotation kernels + end-to-end "
+                            "serving throughput");
   const double speedup = run_reconstruct_comparison(report);
   const bool identical = run_ingest_throughput(report);
   report.write_json();

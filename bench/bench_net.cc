@@ -175,10 +175,9 @@ void measure_failpoint_overhead(bench::BenchReport& report) {
 }  // namespace
 
 int main() {
-  bench::print_header("net",
-                      "networked serving: NetClient -> loopback TCP -> "
-                      "epoll ingest -> lane queues");
-  bench::BenchReport report("net");
+  bench::BenchReport report("net",
+                            "networked serving: NetClient -> loopback TCP -> "
+                            "epoll ingest -> lane queues");
 
   const auto stream = bench::station_stream(kStations, kReportsPerStation);
   std::printf("loopback ingest (%zu reports = %d stations x %d, batch<=%zu, "

@@ -158,10 +158,9 @@ bool run_determinism_check(const core::Authenticator& auth,
 }  // namespace
 
 int main() {
-  bench::print_header("serving",
-                      "streaming multi-station authentication: async queue + "
-                      "batching scheduler + classify_batch");
-  bench::BenchReport report("serving");
+  bench::BenchReport report("serving",
+                            "streaming multi-station authentication: async queue + "
+                            "batching scheduler + classify_batch");
 
   const core::Authenticator auth = bench::scale_authenticator();
 

@@ -27,6 +27,7 @@ struct ModelConfig {
   std::vector<int> dense = {128, 64};
   std::vector<float> dropout = {0.5f, 0.2f};
   std::uint64_t init_seed = 1234;
+  bool operator==(const ModelConfig&) const = default;
 };
 
 // Kernel-width schedule used by the paper, generalized to n layers: all

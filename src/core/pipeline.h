@@ -25,6 +25,7 @@ namespace deepcsi::core {
 struct ExperimentConfig {
   ModelConfig model;
   nn::TrainConfig train;
+  bool operator==(const ExperimentConfig&) const = default;
 };
 
 // Scale-matched defaults: quick (CI, single core) or paper-like.

@@ -27,6 +27,7 @@ struct InputSpec {
   // Fig. 16 baseline: remove per-antenna linear phase (CFO/SFO/PDD-style
   // offsets, algorithm of [36]) before stacking I/Q.
   bool offset_correction = false;
+  bool operator==(const InputSpec&) const = default;
 };
 
 // Number of input channels: 2 per antenna, minus one if the last TX

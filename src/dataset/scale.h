@@ -11,6 +11,7 @@ struct Scale {
   int d1_snapshots_per_trace = 16;  // per (module, position, beamformee)
   int d2_snapshots_per_trace = 22;  // per (module, trace, beamformee)
   int subcarrier_stride = 2;        // feature sub-sampling along k (1 = all)
+  bool operator==(const Scale&) const = default;
 };
 
 Scale quick_scale();

@@ -54,6 +54,7 @@ struct D1Options {
   // Fig. 10: cap the number of training positions (0 = use the whole set).
   int max_train_positions = 0;
   double train_time_fraction = 0.8;  // for positions in both train and test
+  bool operator==(const D1Options&) const = default;
 };
 
 SplitSets build_d1(const D1Options& opt);
@@ -67,6 +68,7 @@ struct D2Options {
   // Fig. 17b: train on the A-B-C-B half of mob1 paths, test on the B-D-B
   // window of mob2 paths.
   bool subpath_variant = false;
+  bool operator==(const D2Options&) const = default;
 };
 
 SplitSets build_d2(const D2Options& opt);

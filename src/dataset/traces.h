@@ -48,8 +48,9 @@ struct GeneratorConfig {
   std::uint64_t seed = 17;
   feedback::QuantConfig quant;  // defaults to (b_phi, b_psi) = (9, 7)
   double snr_db = 30.0;
-  // Ablation switches for the module hardware (bench_ablation_fingerprint).
+  // Ablation switches for the module hardware (`bench_paper ablation`).
   phy::ImpairmentToggles toggles;
+  bool operator==(const GeneratorConfig&) const = default;
 };
 
 // One D1 trace: module fixed at A, both beamformees at `position`.

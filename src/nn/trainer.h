@@ -31,6 +31,7 @@ struct TrainConfig {
   std::uint64_t shuffle_seed = 1;
   bool verbose = false;
   bool restore_best = true;  // reload weights of the best validation epoch
+  bool operator==(const TrainConfig&) const = default;
 };
 
 struct EpochStats {

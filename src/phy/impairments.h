@@ -68,7 +68,7 @@ struct BeamformeeProfile {
 };
 
 // Ablation switches: disable individual imperfection classes to measure
-// their contribution to the fingerprint (see bench_ablation_fingerprint).
+// their contribution to the fingerprint (see `bench_paper ablation`).
 // Toggling one component leaves the random draw of the others untouched.
 struct ImpairmentToggles {
   bool ripple = true;        // per-chain filter frequency ripple
@@ -77,6 +77,7 @@ struct ImpairmentToggles {
   bool cfo = true;           // residual CFO (drives the LTF slot ramp)
   bool iq_imbalance = true;  // TX IQ image leakage
   bool sfo = true;           // sampling clock offset (common-mode)
+  bool operator==(const ImpairmentToggles&) const = default;
 };
 
 // Deterministic profile for module_id in [0, kNumModules). All modules use

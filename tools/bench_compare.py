@@ -16,6 +16,9 @@ Gate rules:
   * a baseline metric missing from the fresh run -> failure (a silently
     vanished bench row is itself a regression)
   * fresh-only metrics -> fine (benches are allowed to grow)
+  * a host record (nproc, CPU model, ISA flags) that differs from the
+    baseline's, or a baseline without one -> a NOTE, not a failure: the
+    numbers may come from different machines
 
 Metrics are matched by (metric name + numeric attributes), so e.g.
 ingest_throughput@threads=4 only ever compares against itself.
@@ -77,6 +80,12 @@ def compare_file(name, baseline_path, fresh_path, tolerance):
             f"baseline's DEEPCSI_SCALE before comparing"
         )
         return failures, lines
+
+    base_host, fresh_host = base_doc.get("host"), fresh_doc.get("host")
+    if base_host is None:
+        lines.append("  NOTE baseline has no host record; it may come from another machine")
+    elif base_host != fresh_host:
+        lines.append(f"  NOTE host differs from the baseline's: {base_host} -> {fresh_host}")
 
     for key, metric in sorted(base.items()):
         label = format_key(key)
@@ -165,6 +174,8 @@ def run_compare(baseline_dir, fresh_dir, tolerance, update):
 
 def self_test():
     """Fixture-level check of the gate logic itself (runs as a ctest)."""
+    import contextlib
+    import io
     import tempfile
 
     def bench_doc(throughput, latency=5.0, scale="quick"):
@@ -241,6 +252,24 @@ def self_test():
         if status == "FAIL":
             failures += 1
         print(f"self-test {status}: --update adopts fresh-only baselines (exit {got}, adopted {adopted})")
+
+    # A baseline from another host is a NOTE, not a failure.
+    with tempfile.TemporaryDirectory() as tmp:
+        base_dir = os.path.join(tmp, "baselines")
+        fresh_dir = os.path.join(tmp, "fresh")
+        os.makedirs(base_dir)
+        os.makedirs(fresh_dir)
+        for path, nproc in ((base_dir, 2), (fresh_dir, 4)):
+            with open(os.path.join(path, "BENCH_fixture.json"), "w") as f:
+                json.dump(dict(bench_doc(1000.0), host={"nproc": nproc, "cpu": "fixture"}), f)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            got = run_compare(base_dir, fresh_dir, tolerance=0.15, update=False)
+        noted = "NOTE host differs" in out.getvalue()
+        status = "ok" if got == 0 and noted else "FAIL"
+        if status == "FAIL":
+            failures += 1
+        print(f"self-test {status}: a different host notes and passes (exit {got}, note {noted})")
 
     print("self-test:", "PASSED" if failures == 0 else f"{failures} case(s) FAILED")
     return 0 if failures == 0 else 1
